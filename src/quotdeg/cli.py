@@ -34,6 +34,7 @@ from .vafa import (
     CorrelatorSpec,
     DimensionMismatchError,
     ToleranceError,
+    check_tolerance,
     vi_correlator,
     vi_degree,
 )
@@ -61,6 +62,13 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _resolve_precision(args) -> int:
@@ -435,7 +443,7 @@ def build_parser() -> _Parser:
         help=f"working precision in bits (default ${PRECISION_ENV} or {DEFAULT_PRECISION})",
     )
     common.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="EPS",
+        "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, metavar="EPS",
         help=f"accept fixed-point sums within EPS of an integer (default {DEFAULT_TOLERANCE})",
     )
     common.add_argument(

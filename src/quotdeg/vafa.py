@@ -6,7 +6,13 @@ z^n + (-1)^m = 0, with each subset contributing a symmetric function of
 its roots.  Everything here is evaluated in configurable-precision
 complex arithmetic (mpmath, precision in bits, default 53 = double) with
 a deterministic reduction order, then snapped to a nearby integer only
-when the residual and imaginary part clear the tolerance.
+when the residual and imaginary part clear the tolerance and the
+last-place noise the sum can carry stays below it.
+
+Every root is a power of zeta = e^(i pi/n), so the Schur determinant in
+the degree sum is built from integer exponents: each Leibniz term is one
+exponent sum mod 2n, and the determinant is an integer combination of
+zeta^0..zeta^(n-1) read off by a single dot product.
 
 The power-sum determinant at the bottom of the formulas is computed
 exactly over the integers, giving an arithmetic-free consistency anchor
@@ -15,9 +21,12 @@ for the floating-point paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -90,19 +99,53 @@ def vandermonde(values) -> complex:
     return prod
 
 
-def _det(rows):
-    # Leibniz expansion; exact on ints, fine for the small m used here
-    m = len(rows)
-    total = 0
+@functools.cache
+def _signed_permutations(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, permutation) for every permutation of range(m), computed once per m."""
+    out = []
     for perm in itertools.permutations(range(m)):
         inv = sum(
             1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
         )
+        out.append((-1 if inv % 2 else 1, perm))
+    return tuple(out)
+
+
+def _det(rows):
+    # Leibniz expansion; exact on ints, fine for the small m used here
+    total = 0
+    for sign, perm in _signed_permutations(len(rows)):
         term = rows[0][perm[0]]
-        for i in range(1, m):
+        for i in range(1, len(rows)):
             term = term * rows[i][perm[i]]
-        total = total - term if inv % 2 else total + term
+        total = total - term if sign < 0 else total + term
     return total
+
+
+def _zeta_powers(n: int) -> tuple:
+    """zeta^r for r in range(n), zeta = e^(i pi/n), at the working precision.
+
+    Made by the same expjpi calls as lg_roots, so every entry that is a
+    root (r of the root parity) is bit-identical to it.
+    """
+    return tuple(mp.expjpi(mpf(r) / n) for r in range(n))
+
+
+def _exponent_det(exponents, lams, zeta: tuple):
+    """det[zeta^(e_i * lam_j)] for root exponents e_i and column powers lam_j.
+
+    Each Leibniz term is the single power zeta^(sum_i e_i lam_perm(i)), so
+    the determinant is an integer vector over zeta^0..zeta^(2n-1), folded
+    onto the n entries of `zeta` by zeta^(r+n) = -zeta^r and evaluated
+    with one dot product.
+    """
+    n = len(zeta)
+    two_n = 2 * n
+    rows = [[e * lam % two_n for lam in lams] for e in exponents]
+    coeffs = [0] * two_n
+    for sign, perm in _signed_permutations(len(rows)):
+        coeffs[sum(map(getitem, rows, perm)) % two_n] += sign
+    return mp.fdot((coeffs[r] - coeffs[r + n], zeta[r]) for r in range(n))
 
 
 def _parts(mu, m: int) -> tuple[int, ...]:
@@ -164,12 +207,43 @@ def powersum_determinant(mu, m: int, n: int) -> Fraction:
     return Fraction(_det(rows), n**m)
 
 
-def _finalize(total, precision: int, tolerance: float) -> NumericResult:
+def check_tolerance(tolerance: float) -> float:
+    """Return `tolerance` if it is finite and in (0, 0.5); raise ValueError otherwise.
+
+    Rounding is certified by comparing against the tolerance, so NaN (which
+    compares false) or infinity would certify anything, and a value of 0.5
+    or more no longer pins one integer.
+    """
+    if not 0 < tolerance < 0.5:
+        raise ValueError(f"tolerance must be finite and in (0, 0.5), got {tolerance}")
+    return tolerance
+
+
+def _finalize(
+    subset_sum, largest, m: int, n: int, precision: int, tolerance: float
+) -> NumericResult:
+    """Scale a subset sum by (-1)^(m(m-1)/2) / n^m and round it, or raise
+    ToleranceError when the rounding is not certified.
+
+    `largest` is the largest |term| of the sum.  Each term carries an error
+    of a few units in its last place, so max|term| * #terms * 2^(1-precision)
+    / n^m bounds the noise in the result; above the tolerance, a residual
+    that looks small certifies nothing.
+    """
+    scale = mpf(n) ** m
+    total = subset_sum * (-1) ** (m * (m - 1) // 2) / scale
     re, im = total.real, total.imag
     rounded = int(mp.nint(re))
     if abs(rounded) >= 2 ** (precision - 1):
         raise ToleranceError(
             f"|{rounded}| is too large to round safely at {precision} bits; "
+            "raise the precision"
+        )
+    noise = mp.ldexp(largest * math.comb(n, m), 1 - precision) / scale
+    if noise > tolerance:
+        raise ToleranceError(
+            f"noise bound max|term| * #terms * 2^(1-{precision}) / n^m = "
+            f"{mp.nstr(noise, 3)} exceeds the tolerance {tolerance}; "
             "raise the precision"
         )
     residual = float(abs(total - rounded))
@@ -190,14 +264,17 @@ def _finalize(total, precision: int, tolerance: float) -> NumericResult:
 
 
 def _kahan_sum(terms):
+    """Compensated sum of the terms, and the largest |term|."""
     total = mpc(0)
     comp = mpc(0)
+    largest = mpf(0)
     for t in terms:
+        largest = max(largest, abs(t))
         y = t - comp
         tmp = total + y
         comp = (tmp - total) - y
         total = tmp
-    return total
+    return total, largest
 
 
 def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | None):
@@ -210,24 +287,18 @@ def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | No
     return lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)
 
 
-def _degree_summand(qs, parts: tuple[int, ...], exponent: int, powers=None):
-    """One subset's contribution: (prod q)(sum q)^E Delta^2 s_mu, computed
-    without division as Delta * det[q_i ^ (mu_j + m + 1 - j)].
+def _degree_term(qs, exponents, lams, exponent: int, zeta: tuple):
+    """One subset's contribution (prod q)(sum q)^E Delta^2 s_mu, computed
+    without division as Delta * det[q_i ^ lam_j] * (sum q)^E.
 
-    `qs` is the subset; `powers` optionally maps each root to its
-    precomputed power list.  Symmetric in the subset, degenerate subsets
-    contribute 0 through the Delta factor.
+    `qs` are the subset's roots and `exponents` their powers of zeta;
+    degenerate subsets contribute 0 through the Delta factor.
     """
-    m = len(qs)
     delta = vandermonde(qs)
-    if powers is None:
-        rows = [[q ** (parts[j] + m - j) for j in range(m)] for q in qs]
-    else:
-        rows = [[powers[q][parts[j] + m - j] for j in range(m)] for q in qs]
     s = qs[0]
     for q in qs[1:]:
         s = s + q
-    return delta * _det(rows) * s**exponent
+    return delta * _exponent_det(exponents, lams, zeta) * s**exponent
 
 
 def vi_degree(
@@ -252,24 +323,27 @@ def vi_degree(
         raise InvalidIndexError(f"expected {m} columns, got {cols}")
     if d < 0:
         raise InvalidIndexError(f"shift must be nonnegative, got {d}")
+    check_tolerance(tolerance)
     n = m + p
     mu = partition_of(SchubertSymbol(cols, d), p)
     exponent = m * p - mu.weight + n * d
+    lams = [mu.parts[j] + m - j for j in range(m)]
     sys = _root_system(m, n, precision, roots)
+    # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
+    parity = 1 - m % 2
     with workprec(sys.precision):
-        maxpow = (mu.parts[0] if mu.parts else 0) + m
-        powers = {}
-        for q in sys.roots:
-            row = [mpc(1)]
-            for _ in range(maxpow):
-                row.append(row[-1] * q)
-            powers[q] = row
-        total = _kahan_sum(
-            _degree_summand(subset, mu.parts, exponent, powers)
-            for subset in itertools.combinations(sys.roots, m)
+        zeta = _zeta_powers(n)
+        terms = (
+            _degree_term(
+                [sys.roots[k] for k in ks],
+                [2 * k + parity for k in ks],
+                lams,
+                exponent,
+                zeta,
+            )
+            for ks in itertools.combinations(range(n), m)
         )
-        total = total * (-1) ** (m * (m - 1) // 2) / mpf(n) ** m
-        return _finalize(total, sys.precision, tolerance)
+        return _finalize(*_kahan_sum(terms), m, n, sys.precision, tolerance)
 
 
 @dataclass(frozen=True)
@@ -345,13 +419,13 @@ def vi_correlator(
     Each critical subset contributes the class values times the inverse
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
+    check_tolerance(tolerance)
     m, p = spec.m, spec.p
     n = m + p
     sys = _root_system(m, n, precision, roots)
     with workprec(sys.precision):
-        total = _kahan_sum(
+        terms = (
             _correlator_summand(subset, spec.powers)
             for subset in itertools.combinations(sys.roots, m)
         )
-        total = total * (-1) ** (m * (m - 1) // 2) / mpf(n) ** m
-        return _finalize(total, sys.precision, tolerance)
+        return _finalize(*_kahan_sum(terms), m, n, sys.precision, tolerance)

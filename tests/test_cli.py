@@ -109,6 +109,12 @@ def test_degree_csv_format(capsys):
         ("degree", "--m", "2", "--p", "2", "--q", "-1"),  # negative order
         ("degree", "--m", "2", "--p", "2", "--q", "1", "--nonsense"),
         ("nonsense",),
+        # tolerances that would certify anything, or nothing
+        ("degree", "--m", "3", "--p", "3", "--q", "4", "--method", "vi",
+         "--precision", "31", "--tolerance", "nan"),
+        ("degree", "--m", "2", "--p", "2", "--q", "1", "--tolerance", "inf"),
+        ("degree", "--m", "2", "--p", "2", "--q", "1", "--tolerance", "0"),
+        ("correlator", "--m", "2", "--p", "2", "--powers", "8,0", "--tolerance=-1e-6"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

@@ -1,16 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mpf, workprec
 
-from quotdeg.indices import InvalidIndexError, Partition
+from quotdeg.chain_degree import degree_chain
+from quotdeg.indices import InvalidIndexError, Partition, SchubertSymbol, schubert_to_composite
 from quotdeg.recurrence_degree import quot_degree, subvariety_degree
 from quotdeg.vafa import (
     DEFAULT_PRECISION,
     CorrelatorSpec,
     DimensionMismatchError,
     ToleranceError,
+    _det,
+    _exponent_det,
+    _zeta_powers,
     lg_roots,
     power_sum,
     powersum_determinant,
@@ -47,6 +53,37 @@ def test_lg_roots_validation():
         lg_roots(2, 1)
     with pytest.raises(ValueError):
         lg_roots(2, 4, precision=3)
+
+
+def test_zeta_table_entries_are_the_roots_bit_for_bit():
+    for m in (1, 2, 3, 4):
+        parity = 1 - m % 2
+        for n in (2, 3, 5, 6, 10):
+            for precision in (53, 104, 200):
+                sys = lg_roots(m, n, precision)
+                with workprec(precision):
+                    zeta = _zeta_powers(n)
+                for k, q in enumerate(sys.roots):
+                    if 2 * k + parity < n:
+                        assert zeta[2 * k + parity]._mpc_ == q._mpc_
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exponent_det_matches_leibniz_over_root_powers(data):
+    m = data.draw(st.integers(1, 5))
+    n = m + data.draw(st.integers(1, 4))
+    ks = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))
+    parts = sorted(
+        data.draw(st.lists(st.integers(0, 2 * n), min_size=m, max_size=m)), reverse=True
+    )
+    lams = [parts[j] + m - j for j in range(m)]
+    sys = lg_roots(m, n, precision=200)
+    with workprec(200):
+        got = _exponent_det([2 * k + 1 - m % 2 for k in ks], lams, _zeta_powers(n))
+        want = _det([[sys.roots[k] ** lam for lam in lams] for k in ks])
+        # every Leibniz term has modulus 1, so m! is the scale of the sum
+        assert abs(got - want) <= mpf(2) ** -150 * math.factorial(m)
 
 
 def test_vandermonde():
@@ -193,6 +230,7 @@ def test_vi_degree_accepts_prebuilt_roots():
     result = vi_degree((3, 4), 1, 2, 2, roots=sys)
     assert result.value == 8
     assert result.precision == 64
+    assert result == vi_degree((3, 4), 1, 2, 2, precision=64)
     with pytest.raises(ValueError):
         vi_degree((3, 4), 1, 2, 2, precision=53, roots=sys)
     with pytest.raises(ValueError):
@@ -220,6 +258,36 @@ def test_vi_degree_refuses_unsafe_rounding():
         vi_degree((5, 6, 7, 8), 2, 4, 4, precision=16)
     result = vi_degree((5, 6, 7, 8), 2, 4, 4, precision=80)
     assert result.value == subvariety_degree((5, 6, 7, 8), 2, 4, 4, 2)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-6, 0.5])
+def test_vi_sums_reject_unusable_tolerance(tolerance):
+    # NaN used to certify a wrong integer: residual > nan is False
+    with pytest.raises(ValueError, match="tolerance"):
+        vi_degree((4, 5, 6), 4, 3, 3, precision=31, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        vi_correlator(CorrelatorSpec.from_powers((8, 0), 2, 2), tolerance=tolerance)
+
+
+def test_vi_degree_refuses_last_place_noise():
+    # at 404 bits the sum rounds to an integer 68 above the true degree
+    with pytest.raises(ToleranceError, match=r"max\|term\| \* #terms"):
+        vi_degree((3, 4), 200, 2, 2, precision=404)
+    assert vi_degree((3, 4), 200, 2, 2, precision=460).value == quot_degree(2, 2, 200)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 8), st.integers(20, 520))
+@example(2, 2, 200, 404)
+def test_vi_degree_certifies_or_refuses(m, p, d, precision):
+    n = m + p
+    cols = tuple(range(p + 1, n + 1))
+    want = degree_chain(schubert_to_composite(SchubertSymbol(cols, d), n))
+    try:
+        got = vi_degree(cols, d, m, p, precision=precision).value
+    except ToleranceError:
+        return
+    assert got == want
 
 
 @st.composite
