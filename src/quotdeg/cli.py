@@ -5,7 +5,8 @@ integers here outgrow doubles quickly) and a fixed key order, so identical
 invocations produce byte-identical output.  Timing and raw floating-point
 evidence only appear under --verbose.  Exit codes: 0 success, 1 usage
 error, 2 method disagreement or invariant failure, 3 dimension mismatch,
-4 numeric tolerance failure.
+4 numeric tolerance failure.  Each command builds its report as a JSON
+document, CSV rows and text lines; _write prints the one --format names.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import time
 
 from .chain_degree import DEFAULT_CHAIN_CAP, degree_chain, enumerate_chains
 from .indices import (
-    CompositeIndex,
     InvalidIndexError,
     SchubertSymbol,
     composite_to_schubert,
@@ -27,7 +27,7 @@ from .indices import (
     symbol_dimension,
     validate_index,
 )
-from .recurrence_degree import RecurrenceTable, quot_degree
+from .recurrence_degree import RecurrenceTable
 from .vafa import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
@@ -57,11 +57,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class MethodDisagreement(Exception):
+    """Two methods gave different integers for the same request."""
+
+
 def _int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"precision must be at least 4 bits, got {value}")
+    return value
 
 
 def _tolerance(text: str) -> float:
@@ -75,7 +89,7 @@ def _resolve_precision(args) -> int:
     if args.precision is not None:
         return args.precision
     env = os.environ.get(PRECISION_ENV)
-    if env is not None and env != "":
+    if env:
         try:
             value = int(env)
         except ValueError:
@@ -86,78 +100,69 @@ def _resolve_precision(args) -> int:
     return DEFAULT_PRECISION
 
 
-def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write(fmt: str, doc: dict, header: list[str], rows: list[list[str]], text: list[str]) -> None:
+    """Print one report to stdout in the chosen format."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        sys.stdout.write("".join(line + "\n" for line in text))
 
 
 def _fmt_ms(seconds: float) -> str:
     return format(seconds * 1000.0, ".3f")
 
 
-def _method_entry(degree: int | None, status: str, verbose_extra=None) -> dict:
-    entry = {"degree": None if degree is None else str(degree), "status": status}
-    if verbose_extra:
-        entry.update(verbose_extra)
-    return entry
+def _degree_request(args):
+    """(m, p, n, symbol, alpha, q echo) from exactly one request form:
+    --n/--alpha, --m/--p/--i with an optional --d, or --m/--p/--q."""
+    flags = ("m", "p", "q", "i", "d", "n", "alpha")
+    given = {flag for flag in flags if getattr(args, flag) is not None}
+    if args.alpha is not None:
+        if given != {"n", "alpha"}:
+            raise InvalidIndexError("--alpha goes with --n and nothing else")
+        alpha = validate_index(args.alpha, args.n)
+        symbol = composite_to_schubert(alpha)
+        m, n, q_echo = alpha.m, alpha.n, None
+        if n - m < 1:
+            raise InvalidIndexError(f"index length {m} needs period at least {m + 1}")
+        p = n - m
+    else:
+        form = "i" if args.i is not None else "q" if args.q is not None else None
+        if form is None:
+            raise InvalidIndexError("give --m/--p/--q, or --m/--p/--i/--d, or --n/--alpha")
+        if args.m is None or args.p is None:
+            raise InvalidIndexError(f"--{form} needs --m and --p")
+        extra = given - ({"m", "p", "i", "d"} if form == "i" else {"m", "p", "q"})
+        if extra:
+            names = " ".join(f"--{flag}" for flag in sorted(extra))
+            raise InvalidIndexError(f"--{form} does not go with {names}")
+        m, p = args.m, args.p
+        n = m + p
+        if form == "i":
+            symbol, q_echo = SchubertSymbol(args.i, args.d or 0), None
+        else:
+            if m < 1 or p < 1:
+                raise InvalidIndexError(f"m and p must be positive, got m={m} p={p}")
+            symbol, q_echo = SchubertSymbol(tuple(range(p + 1, n + 1)), args.q), str(args.q)
+        alpha = schubert_to_composite(symbol, n)
+    if symbol.columns[-1] > n or any(c > p + l for l, c in enumerate(symbol.columns, 1)):
+        raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
+    return m, p, n, symbol, alpha, q_echo
 
 
 def cmd_degree(args) -> int:
     precision = _resolve_precision(args)
-    tolerance = args.tolerance
+    m, p, n, symbol, alpha, q_echo = _degree_request(args)
 
-    # accept exactly one of the three request forms
-    if args.alpha is not None:
-        if args.n is None or args.m is not None or args.p is not None:
-            raise InvalidIndexError("--alpha goes with --n and nothing else")
-        alpha = validate_index(args.alpha, args.n)
-        symbol = composite_to_schubert(alpha)
-        m, n = alpha.m, alpha.n
-        p = n - m
-        if p < 1:
-            raise InvalidIndexError(f"index length {m} needs period at least {m + 1}")
-        q_echo = None
-    elif args.i is not None:
-        if args.m is None or args.p is None:
-            raise InvalidIndexError("--i needs --m and --p")
-        m, p = args.m, args.p
-        n = m + p
-        symbol = SchubertSymbol(args.i, args.d if args.d is not None else 0)
-        alpha = schubert_to_composite(symbol, n)
-        q_echo = None
-    elif args.q is not None:
-        if args.m is None or args.p is None:
-            raise InvalidIndexError("--q needs --m and --p")
-        m, p = args.m, args.p
-        if m < 1 or p < 1:
-            raise InvalidIndexError(f"m and p must be positive, got m={m} p={p}")
-        n = m + p
-        symbol = SchubertSymbol(tuple(range(p + 1, n + 1)), args.q)
-        alpha = schubert_to_composite(symbol, n)
-        q_echo = str(args.q)
-    else:
-        raise InvalidIndexError(
-            "give --m/--p/--q, or --m/--p/--i/--d, or --n/--alpha"
-        )
-    if symbol.columns[-1] > n or any(
-        c > p + l for l, c in enumerate(symbol.columns, start=1)
-    ):
-        raise InvalidIndexError(
-            f"columns {symbol.columns} name nothing for m={m} p={p}"
-        )
-
-    dim = symbol_dimension(symbol, n)
     wanted = ["chain", "recurrence", "vi"] if args.method == "all" else [args.method]
     methods: dict[str, dict] = {}
-    tolerance_failed = False
     for name in wanted:
+        entry = methods[name] = {"degree": None, "status": "ok"}
         start = time.perf_counter()
-        extra = {}
         try:
             if name == "chain":
                 value = degree_chain(alpha)
@@ -165,117 +170,74 @@ def cmd_degree(args) -> int:
                 value = RecurrenceTable(m, n).degree(alpha.entries)
             else:
                 result = vi_degree(
-                    symbol.columns,
-                    symbol.offset,
-                    m,
-                    p,
-                    precision=precision,
-                    tolerance=tolerance,
+                    symbol.columns, symbol.offset, m, p,
+                    precision=precision, tolerance=args.tolerance,
                 )
                 value = result.value
                 if args.verbose:
-                    extra = {
-                        "raw": str(result.raw),
-                        "residual": repr(result.residual),
-                        "imag": repr(result.imag),
-                    }
+                    entry["raw"] = str(result.raw)
+                    entry["residual"] = repr(result.residual)
+                    entry["imag"] = repr(result.imag)
+            entry["degree"] = str(value)
         except ToleranceError as exc:
-            tolerance_failed = True
-            entry = _method_entry(None, f"tolerance failure: {exc}")
-            if args.verbose:
-                entry["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
-            methods[name] = entry
-            continue
+            entry["status"] = f"tolerance failure: {exc}"
         if args.verbose:
-            extra["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
-        methods[name] = _method_entry(value, "ok", extra)
+            entry["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
 
-    produced = [v["degree"] for v in methods.values() if v["status"] == "ok"]
-    agreement = len(produced) == len(methods) and len(set(produced)) == 1
-
+    produced = [entry["degree"] for entry in methods.values()]
+    tolerance_failed = None in produced
+    agreement = not tolerance_failed and len(set(produced)) == 1
+    request = {
+        "m": str(m), "p": str(p), "q": q_echo, "n": str(n),
+        "i": ",".join(str(c) for c in symbol.columns), "d": str(symbol.offset),
+        "alpha": str(alpha), "dim": str(symbol_dimension(symbol, n)),
+    }
     doc = {
         "command": "degree",
-        "request": {
-            "m": str(m),
-            "p": str(p),
-            "q": q_echo,
-            "n": str(n),
-            "i": ",".join(str(c) for c in symbol.columns),
-            "d": str(symbol.offset),
-            "alpha": str(alpha),
-            "dim": str(dim),
-        },
+        "request": request,
         "precision": str(precision),
-        "tolerance": str(tolerance),
+        "tolerance": str(args.tolerance),
         "methods": methods,
         "agreement": agreement,
     }
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv(
-            ["method", "degree", "status"],
-            [[k, v["degree"] if v["degree"] is not None else "", v["status"]]
-             for k, v in methods.items()],
-        )
-    else:
-        req = doc["request"]
-        parts = [f"{k}={req[k]}" for k in ("m", "p", "q", "n", "i", "d", "alpha", "dim")
-                 if req[k] is not None]
-        sys.stdout.write("request: " + " ".join(parts) + "\n")
-        for k, v in methods.items():
-            shown = v["degree"] if v["degree"] is not None else v["status"]
-            sys.stdout.write(f"{k}: {shown}\n")
-        sys.stdout.write(f"agreement: {str(agreement).lower()}\n")
+    rows = [[k, v["degree"] or "", v["status"]] for k, v in methods.items()]
+    text = [
+        "request: " + " ".join(f"{k}={v}" for k, v in request.items() if v is not None),
+        *(f"{k}: {v['degree'] or v['status']}" for k, v in methods.items()),
+        f"agreement: {str(agreement).lower()}",
+    ]
+    _write(args.format, doc, ["method", "degree", "status"], rows, text)
     if tolerance_failed:
         return EXIT_TOLERANCE
-    if not agreement:
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    return EXIT_OK if agreement else EXIT_DISAGREEMENT
 
 
 def cmd_correlator(args) -> int:
     precision = _resolve_precision(args)
-    tolerance = args.tolerance
     if args.m < 1 or args.p < 1:
         raise InvalidIndexError(f"m and p must be positive, got m={args.m} p={args.p}")
     spec = CorrelatorSpec.from_powers(args.powers, args.m, args.p)
     start = time.perf_counter()
-    result = vi_correlator(spec, precision=precision, tolerance=tolerance)
+    result = vi_correlator(spec, precision=precision, tolerance=args.tolerance)
     elapsed = time.perf_counter() - start
+    m, p = str(spec.m), str(spec.p)
+    powers = ",".join(str(a) for a in spec.powers)
+    n, q, value = str(spec.m + spec.p), str(spec.q), str(result.value)
     doc = {
         "command": "correlator",
-        "request": {
-            "m": str(spec.m),
-            "p": str(spec.p),
-            "powers": ",".join(str(a) for a in spec.powers),
-        },
-        "n": str(spec.m + spec.p),
-        "q": str(spec.q),
-        "value": str(result.value),
+        "request": {"m": m, "p": p, "powers": powers},
+        "n": n, "q": q, "value": value,
         "precision": str(precision),
-        "tolerance": str(tolerance),
+        "tolerance": str(args.tolerance),
     }
     if args.verbose:
         doc["raw"] = str(result.raw)
         doc["residual"] = repr(result.residual)
         doc["imag"] = repr(result.imag)
         doc["elapsed_ms"] = _fmt_ms(elapsed)
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "p", "powers", "q", "n", "value"],
-            [[doc["request"]["m"], doc["request"]["p"], doc["request"]["powers"],
-              doc["q"], doc["n"], doc["value"]]],
-        )
-    else:
-        sys.stdout.write(
-            f"request: m={doc['request']['m']} p={doc['request']['p']} "
-            f"powers={doc['request']['powers']}\n"
-        )
-        sys.stdout.write(f"q: {doc['q']}\n")
-        sys.stdout.write(f"value: {doc['value']}\n")
+    header = ["m", "p", "powers", "q", "n", "value"]
+    text = [f"request: m={m} p={p} powers={powers}", f"q: {q}", f"value: {value}"]
+    _write(args.format, doc, header, [[m, p, powers, q, n, value]], text)
     return EXIT_OK
 
 
@@ -289,62 +251,37 @@ def cmd_table(args) -> int:
     top = tuple(range(p + 1, n + 1))
     memo: dict = {}
     table = RecurrenceTable(m, n)
+    header = ["m", "p", "q", "n", "dim", "degree"]
     rows = []
     for q in range(args.max_q + 1):
         alpha = schubert_to_composite(SchubertSymbol(top, q), n)
         ch = degree_chain(alpha, memo)
         rec = table.degree(alpha.entries)
         if ch != rec:
-            sys.stderr.write(
-                f"quotdeg: methods disagree at q={q}: chain={ch} recurrence={rec}\n"
-            )
-            return EXIT_DISAGREEMENT
-        rows.append(
-            {
-                "m": str(m),
-                "p": str(p),
-                "q": str(q),
-                "n": str(n),
-                "dim": str(m * p + n * q),
-                "degree": str(ch),
-            }
-        )
+            raise MethodDisagreement(f"methods disagree at q={q}: chain={ch} recurrence={rec}")
+        rows.append([str(m), str(p), str(q), str(n), str(m * p + n * q), str(ch)])
     doc = {
         "command": "table",
         "request": {"m": str(m), "p": str(p), "max_q": str(args.max_q)},
         "methods": ["chain", "recurrence"],
-        "rows": rows,
+        "rows": [dict(zip(header, row)) for row in rows],
     }
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "p", "q", "n", "dim", "degree"],
-            [[r["m"], r["p"], r["q"], r["n"], r["dim"], r["degree"]] for r in rows],
-        )
-    else:
-        header = ["m", "p", "q", "n", "dim", "degree"]
-        widths = [
-            max(len(h), max(len(r[h]) for r in rows)) for h in header
-        ]
-        sys.stdout.write(
-            "  ".join(h.rjust(w) for h, w in zip(header, widths)) + "\n"
-        )
-        for r in rows:
-            sys.stdout.write(
-                "  ".join(r[h].rjust(w) for h, w in zip(header, widths)) + "\n"
-            )
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    text = [
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        for row in [header, *rows]
+    ]
+    _write(args.format, doc, header, rows, text)
     return EXIT_OK
 
 
 def cmd_chains(args) -> int:
-    if args.n is None or args.alpha is None:
-        raise InvalidIndexError("chains needs --n and --alpha")
     alpha = validate_index(args.alpha, args.n)
     if args.cap < 1:
         raise InvalidIndexError(f"--cap must be positive, got {args.cap}")
     enum = enumerate_chains(alpha, cap=args.cap)
     chain_strings = [[str(step) for step in chain] for chain in enum.chains]
+    joined = [" -> ".join(chain) for chain in chain_strings]
     doc = {
         "command": "chains",
         "request": {"n": str(args.n), "alpha": str(alpha), "cap": str(args.cap)},
@@ -352,19 +289,9 @@ def cmd_chains(args) -> int:
         "capped": enum.capped,
         "chains": chain_strings,
     }
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        rows = [
-            [str(idx), " -> ".join(chain)]
-            for idx, chain in enumerate(chain_strings, start=1)
-        ]
-        rows.append(["count", str(enum.total)])
-        _emit_csv(["chain", "steps"], rows)
-    else:
-        for chain in chain_strings:
-            sys.stdout.write(" -> ".join(chain) + "\n")
-        sys.stdout.write(f"count={enum.total}\n")
+    rows = [[str(idx), chain] for idx, chain in enumerate(joined, start=1)]
+    rows.append(["count", str(enum.total)])
+    _write(args.format, doc, ["chain", "steps"], rows, [*joined, f"count={enum.total}"])
     return EXIT_OK
 
 
@@ -375,13 +302,10 @@ def cmd_verify(args) -> int:
     if args.max_dim < 0:
         raise InvalidIndexError(f"--max-dim must be nonnegative, got {args.max_dim}")
     report = run_verify(
-        max_n=args.max_n,
-        max_dim=args.max_dim,
-        precision=precision,
-        tolerance=args.tolerance,
-        inject_fault=args.inject_fault,
-        duality=args.duality,
+        max_n=args.max_n, max_dim=args.max_dim, precision=precision,
+        tolerance=args.tolerance, inject_fault=args.inject_fault, duality=args.duality,
     )
+    status = "pass" if report.ok else "fail"
     doc = {
         "command": "verify",
         "max_n": str(report.max_n),
@@ -395,67 +319,54 @@ def cmd_verify(args) -> int:
         ],
         "total_cases": str(report.total_cases),
         "total_failures": str(report.total_failures),
-        "status": "pass" if report.ok else "fail",
+        "status": status,
     }
     if report.duality is not None:
         doc["duality"] = report.duality
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv(
-            ["suite", "cases", "failures"],
-            [[s.name, str(s.cases), str(len(s.failures))] for s in report.suites],
+    rows = [[s.name, str(s.cases), str(len(s.failures))] for s in report.suites]
+    width = max(len(s.name) for s in report.suites)
+    text = []
+    for s in report.suites:
+        text.append(f"{s.name.ljust(width)}  cases={s.cases}  failures={len(s.failures)}")
+        text.extend(f"  {f}" for f in s.failures)
+    for row in report.duality or ():
+        text.append(
+            f"duality m={row['m']} p={row['p']} q={row['q']}: {row['deg_mpq']} vs "
+            f"{row['deg_pmq']} equal={str(row['equal']).lower()}"
         )
-    else:
-        width = max(len(s.name) for s in report.suites)
-        for s in report.suites:
-            sys.stdout.write(
-                f"{s.name.ljust(width)}  cases={s.cases}  failures={len(s.failures)}\n"
-            )
-            for f in s.failures:
-                sys.stdout.write(f"  {f}\n")
-        if report.duality is not None:
-            for row in report.duality:
-                sys.stdout.write(
-                    f"duality m={row['m']} p={row['p']} q={row['q']}: "
-                    f"{row['deg_mpq']} vs {row['deg_pmq']} "
-                    f"equal={str(row['equal']).lower()}\n"
-                )
-        sys.stdout.write(f"total: cases={report.total_cases} failures={report.total_failures}\n")
-        sys.stdout.write(f"status: {'pass' if report.ok else 'fail'}\n")
+    text.append(f"total: cases={report.total_cases} failures={report.total_failures}")
+    text.append(f"status: {status}")
+    _write(args.format, doc, ["suite", "cases", "failures"], rows, text)
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
+
+
+def _add_common(parser, numeric: bool) -> None:
+    """--format and --verbose on every command; --precision and --tolerance
+    only where a fixed-point sum runs."""
+    parser.add_argument("--format", choices=("json", "csv", "text"), default="json",
+                        help="output format (default json)")
+    if numeric:
+        parser.add_argument(
+            "--precision", type=_precision, default=None, metavar="BITS",
+            help=f"working precision in bits (default ${PRECISION_ENV} or {DEFAULT_PRECISION})",
+        )
+        parser.add_argument(
+            "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, metavar="EPS",
+            help=f"accept fixed-point sums within EPS of an integer (default {DEFAULT_TOLERANCE})",
+        )
+    parser.add_argument("--verbose", action="store_true",
+                        help="include timing and raw floating-point evidence in reports")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(
-        prog="quotdeg",
-        description="Exact degrees of Quot scheme subvarieties, three ways.",
+        prog="quotdeg", description="Exact degrees of Quot scheme subvarieties, three ways."
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
-        help="output format (default json)",
-    )
-    common.add_argument(
-        "--precision", type=int, default=None, metavar="BITS",
-        help=f"working precision in bits (default ${PRECISION_ENV} or {DEFAULT_PRECISION})",
-    )
-    common.add_argument(
-        "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, metavar="EPS",
-        help=f"accept fixed-point sums within EPS of an integer (default {DEFAULT_TOLERANCE})",
-    )
-    common.add_argument(
-        "--verbose", action="store_true",
-        help="include timing and raw floating-point evidence in reports",
-    )
-
-    deg = sub.add_parser(
-        "degree", parents=[common],
-        help="degree of the whole space (--q), a named subvariety (--i/--d), "
-             "or an explicit index (--n/--alpha)",
-    )
+    deg = sub.add_parser("degree", help="degree of the whole space (--q), a named "
+                         "subvariety (--i/--d), or an explicit index (--n/--alpha)")
+    _add_common(deg, numeric=True)
     deg.add_argument("--m", type=int, default=None)
     deg.add_argument("--p", type=int, default=None)
     deg.add_argument("--q", type=int, default=None)
@@ -470,37 +381,31 @@ def build_parser() -> _Parser:
     deg.set_defaults(func=cmd_degree)
 
     cor = sub.add_parser(
-        "correlator", parents=[common],
-        help="genus-zero correlator of powers of the generator classes",
+        "correlator", help="genus-zero correlator of powers of the generator classes"
     )
+    _add_common(cor, numeric=True)
     cor.add_argument("--m", type=int, required=True)
     cor.add_argument("--p", type=int, required=True)
     cor.add_argument("--powers", type=_int_tuple, required=True, metavar="A1,..,AM")
     cor.set_defaults(func=cmd_correlator)
 
-    tab = sub.add_parser(
-        "table", parents=[common],
-        help="degree of the whole space for q = 0..max-q "
-             "(integer methods, cross-checked per row)",
-    )
+    tab = sub.add_parser("table", help="degree of the whole space for q = 0..max-q "
+                         "(integer methods, cross-checked per row)")
+    _add_common(tab, numeric=False)
     tab.add_argument("--m", type=int, required=True)
     tab.add_argument("--p", type=int, required=True)
     tab.add_argument("--max-q", type=int, required=True, dest="max_q")
     tab.set_defaults(func=cmd_table)
 
-    ch = sub.add_parser(
-        "chains", parents=[common],
-        help="list the saturated chains below an index",
-    )
+    ch = sub.add_parser("chains", help="list the saturated chains below an index")
+    _add_common(ch, numeric=False)
     ch.add_argument("--n", type=int, required=True)
     ch.add_argument("--alpha", type=_int_tuple, required=True, metavar="A1,..,AM")
     ch.add_argument("--cap", type=int, default=DEFAULT_CHAIN_CAP)
     ch.set_defaults(func=cmd_chains)
 
-    ver = sub.add_parser(
-        "verify", parents=[common],
-        help="run the cross-method and identity sweeps",
-    )
+    ver = sub.add_parser("verify", help="run the cross-method and identity sweeps")
+    _add_common(ver, numeric=True)
     ver.add_argument("--max-n", type=int, default=5, dest="max_n")
     ver.add_argument("--max-dim", type=int, default=14, dest="max_dim")
     ver.add_argument("--duality", action="store_true",
@@ -520,6 +425,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except MethodDisagreement as exc:
+        sys.stderr.write(f"quotdeg: {exc}\n")
+        return EXIT_DISAGREEMENT
     except DimensionMismatchError as exc:
         sys.stderr.write(f"quotdeg: dimension mismatch: {exc}\n")
         return EXIT_DIMENSION

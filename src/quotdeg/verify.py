@@ -101,7 +101,11 @@ def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...
             yield cols, d
 
 
-def base_case_suite(max_mp: int = 4) -> SuiteResult:
+def base_case_suite(
+    max_mp: int = 4,
+    precision: int = DEFAULT_PRECISION,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> SuiteResult:
     """Bottom index has degree 1 in every space, all three methods."""
     out = SuiteResult("base_case")
     for m in range(1, max_mp + 1):
@@ -112,7 +116,9 @@ def base_case_suite(max_mp: int = 4) -> SuiteResult:
             ch = degree_chain(bot)
             rec = RecurrenceTable(m, n).degree(bot.entries)
             try:
-                vi = vi_degree(tuple(range(1, m + 1)), 0, m, p).value
+                vi = vi_degree(
+                    tuple(range(1, m + 1)), 0, m, p, precision=precision, tolerance=tolerance
+                ).value
             except ToleranceError as exc:
                 out.failures.append(f"m={m} p={p} bottom vi failed: {exc}")
                 continue
@@ -343,7 +349,7 @@ def run_verify(
         # the smallest nontrivial index: its true chain count is 1
         memo[((2,), 2)] = 2
     suites = [
-        base_case_suite(min(max_n - 1, 4)),
+        base_case_suite(min(max_n - 1, 4), precision, tolerance),
         roundtrip_suite(max_n, max_dim),
         cross_method_suite(max_n, max_dim, precision, tolerance, memo),
         pieri_suite(max_n, max_dim, memo),

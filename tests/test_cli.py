@@ -115,12 +115,39 @@ def test_degree_csv_format(capsys):
         ("degree", "--m", "2", "--p", "2", "--q", "1", "--tolerance", "inf"),
         ("degree", "--m", "2", "--p", "2", "--q", "1", "--tolerance", "0"),
         ("correlator", "--m", "2", "--p", "2", "--powers", "8,0", "--tolerance=-1e-6"),
+        # flags from a second request form
+        ("degree", "--m", "2", "--p", "2", "--q", "1", "--d", "7"),
+        ("degree", "--m", "2", "--p", "2", "--q", "1", "--n", "9"),
+        ("degree", "--m", "2", "--p", "2", "--i", "3,4", "--q", "5"),
+        ("degree", "--m", "2", "--p", "2", "--i", "3,4", "--n", "11"),
+        ("degree", "--n", "4", "--alpha", "4,7", "--q", "1"),
+        # numeric options where no fixed-point sum runs
+        ("table", "--m", "2", "--p", "2", "--max-q", "1", "--precision", "3",
+         "--tolerance", "0.1"),
+        ("chains", "--n", "4", "--alpha", "3,4", "--precision", "60"),
+        # precision below 4 bits, refused before any method runs
+        ("degree", "--m", "6", "--p", "6", "--q", "20", "--precision", "3"),
+        ("degree", "--m", "2", "--p", "2", "--q", "1", "--method", "chain",
+         "--precision", "-5"),
+        ("correlator", "--m", "2", "--p", "2", "--powers", "8,0", "--precision", "3"),
+        ("verify", "--max-n", "3", "--max-dim", "4", "--precision", "2"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err != ""
+
+
+def test_low_precision_is_refused_before_any_method_runs(capsys, monkeypatch):
+    import quotdeg.cli as cli
+
+    monkeypatch.setattr(cli, "degree_chain", lambda *args: pytest.fail("a method ran"))
+    code, out, err = run_cli(
+        capsys, "degree", "--m", "6", "--p", "6", "--q", "20", "--precision", "3"
+    )
+    assert code == 1 and out == ""
+    assert "precision must be at least 4 bits, got 3" in err
 
 
 def test_degree_tolerance_failure_exits_four(capsys):
@@ -233,6 +260,16 @@ def test_table_text_alignment(capsys):
     assert lines[0].split() == ["m", "p", "q", "n", "dim", "degree"]
     assert lines[1].split() == ["2", "3", "0", "5", "6", "5"]
     assert all(len(line) == len(lines[0]) for line in lines[1:])
+
+
+def test_table_disagreement_exits_two(capsys, monkeypatch):
+    import quotdeg.cli as cli
+
+    monkeypatch.setattr(cli, "degree_chain", lambda alpha, memo=None: 0)
+    code, out, err = run_cli(capsys, "table", "--m", "2", "--p", "2", "--max-q", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "quotdeg: methods disagree at q=0: chain=0 recurrence=2\n"
 
 
 def test_chains_text(capsys):

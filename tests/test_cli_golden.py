@@ -1,0 +1,53 @@
+"""Byte-identity guard for the command line.
+
+cli_golden.json lists invocations of quotdeg's main() with the exit code and
+the SHA-256 of stdout and of stderr that each produced.  Every command runs
+in every format, plus the exit 2/3/4 paths and a few usage errors; --verbose
+is left out because its output carries timings.  To record the file afresh
+from the code on the path (only when a change of output is intended):
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+from unittest import mock
+
+import pytest
+
+from quotdeg.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+CASES = json.loads(GOLDEN.read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def observe(argv: str) -> dict:
+    """Run one invocation; argparse wraps usage lines at $COLUMNS, so pin it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.environ.pop("QUOTDEG_PRECISION", None)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv.split())
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout_sha256": _sha256(out.getvalue()),
+        "stderr_sha256": _sha256(err.getvalue()),
+    }
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["argv"] for c in CASES])
+def test_cli_output_matches_golden(case):
+    assert observe(case["argv"]) == case
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([observe(c["argv"]) for c in CASES], indent=1) + "\n")

@@ -72,3 +72,13 @@ def test_duality_rows_report_both_orientations():
     for row in rows:
         if row["q"] == "0":
             assert row["equal"]
+
+
+def test_run_verify_base_case_honours_precision():
+    # 12 bits cannot certify any sum, so every suite that runs one must say so
+    report = run_verify(max_n=3, max_dim=4, precision=12)
+    suites = {s.name: s for s in report.suites}
+    assert suites["base_case"].failures
+    assert all("vi failed" in f for f in suites["base_case"].failures)
+    assert len(suites["cross_method"].failures) == suites["cross_method"].cases
+    assert not report.ok
