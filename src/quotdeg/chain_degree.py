@@ -54,8 +54,9 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
                 seen.add(dec)
                 pending.append(dec)
 
-    # fill in increasing dimension order; decrements always come first
-    for cur in sorted(seen, key=lambda t: (sum(t), t)):
+    # fill in lexicographic order; a decrement is lexicographically smaller
+    # than the tuple it came from, so it always comes first
+    for cur in sorted(seen):
         k = (cur, n)
         if k in memo:
             continue

@@ -141,12 +141,12 @@ def _degree_request(args):
             names = " ".join(f"--{flag}" for flag in sorted(extra))
             raise InvalidIndexError(f"--{form} does not go with {names}")
         m, p = args.m, args.p
+        if m < 1 or p < 1:
+            raise InvalidIndexError(f"m and p must be positive, got m={m} p={p}")
         n = m + p
         if form == "i":
             symbol, q_echo = SchubertSymbol(args.i, args.d or 0), None
         else:
-            if m < 1 or p < 1:
-                raise InvalidIndexError(f"m and p must be positive, got m={m} p={p}")
             symbol, q_echo = SchubertSymbol(tuple(range(p + 1, n + 1)), args.q), str(args.q)
         alpha = schubert_to_composite(symbol, n)
     if symbol.columns[-1] > n or any(c > p + l for l, c in enumerate(symbol.columns, 1)):

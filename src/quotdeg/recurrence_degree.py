@@ -7,6 +7,12 @@ leading entry at 0, or a span reaching the period.  This module solves
 the recurrence by dynamic programming over the box below the queried
 tuple, keeping its own bookkeeping (plain entry tuples, no index types)
 so that agreement with the chain count is a real cross-check.
+
+The box is filled in the lexicographic order in which it is generated.
+A single-entry decrement is lexicographically smaller than the tuple it
+came from, and when it is in the region it is also in the box, so every
+value a tuple sums is filled before the tuple is reached.  A decrement
+outside the region is on the boundary and reads 0 (or its override).
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ class RecurrenceTable:
 
     def _box(self, top: tuple[int, ...]) -> list[tuple[int, ...]]:
         # in-region tuples componentwise <= top, i.e. strictly increasing,
-        # positive, spanning under one period
+        # positive, spanning under one period; degree relies on the output
+        # staying in lexicographic order
         m, n = self.m, self.n
         out: list[tuple[int, ...]] = []
 
@@ -84,20 +91,24 @@ class RecurrenceTable:
             return pinned
         if t in self.values:
             return self.values[t]
-        for cur in sorted(self._box(t), key=lambda u: (sum(u), u)):
-            if cur in self.values:
+        values, overrides, bottom = self.values, self.overrides, self._bottom
+        for cur in self._box(t):
+            if cur in values:
                 continue
-            pv = self._pinned(cur)
-            if pv is not None:
-                self.values[cur] = pv
-                continue
-            acc = 0
-            for l in range(self.m):
-                dec = cur[:l] + (cur[l] - 1,) + cur[l + 1 :]
-                dv = self._pinned(dec)
-                acc += self.values[dec] if dv is None else dv
-            self.values[cur] = acc
-        return self.values[t]
+            if cur in overrides:
+                values[cur] = overrides[cur]
+            elif cur == bottom:
+                values[cur] = 1
+            else:
+                # an in-region decrement lies in the box before cur, so it is
+                # filled; any other one is on the boundary and never in values
+                acc = 0
+                for l, a in enumerate(cur):
+                    dec = cur[:l] + (a - 1,) + cur[l + 1 :]
+                    v = values.get(dec)
+                    acc += overrides.get(dec, 0) if v is None else v
+                values[cur] = acc
+        return values[t]
 
 
 def degree_recurrence(

@@ -17,6 +17,10 @@ zeta^0..zeta^(n-1) read off by a single dot product.
 The power-sum determinant at the bottom of the formulas is computed
 exactly over the integers, giving an arithmetic-free consistency anchor
 for the floating-point paths.
+
+mpmath and fractions are imported inside the functions that compute with
+them, so importing this module (and the package) loads neither; only a
+run that reaches a fixed-point sum or the power-sum determinant pays.
 """
 
 from __future__ import annotations
@@ -25,10 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import getitem
-
-from mpmath import mp, mpc, mpf, workprec
 
 from .indices import InvalidIndexError, Partition, SchubertSymbol, partition_of
 
@@ -75,6 +76,8 @@ class LGRootSystem:
 def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem:
     """Roots of z^n = (-1)^(m+1): the n-th roots of unity for odd m,
     rotated by a half step for even m."""
+    from mpmath import mp, mpf, workprec
+
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if n < 2:
@@ -128,6 +131,8 @@ def _zeta_powers(n: int) -> tuple:
     Made by the same expjpi calls as lg_roots, so every entry that is a
     root (r of the root parity) is bit-identical to it.
     """
+    from mpmath import mp, mpf
+
     return tuple(mp.expjpi(mpf(r) / n) for r in range(n))
 
 
@@ -139,6 +144,8 @@ def _exponent_det(exponents, lams, zeta: tuple):
     onto the n entries of `zeta` by zeta^(r+n) = -zeta^r and evaluated
     with one dot product.
     """
+    from mpmath import mp
+
     n = len(zeta)
     two_n = 2 * n
     rows = [[e * lam % two_n for lam in lams] for e in exponents]
@@ -199,6 +206,8 @@ def powersum_determinant(mu, m: int, n: int) -> Fraction:
     subset sum defining the degree of a point, so it anchors the
     floating-point evaluation with integer arithmetic.
     """
+    from fractions import Fraction
+
     parts = _parts(mu, m)
     rows = [
         [power_sum(parts[j] + m + i - j, m, n) for j in range(m)]
@@ -230,6 +239,8 @@ def _finalize(
     / n^m bounds the noise in the result; above the tolerance, a residual
     that looks small certifies nothing.
     """
+    from mpmath import mp, mpf
+
     scale = mpf(n) ** m
     total = subset_sum * (-1) ** (m * (m - 1) // 2) / scale
     re, im = total.real, total.imag
@@ -265,6 +276,8 @@ def _finalize(
 
 def _kahan_sum(terms):
     """Compensated sum of the terms, and the largest |term|."""
+    from mpmath import mpc, mpf
+
     total = mpc(0)
     comp = mpc(0)
     largest = mpf(0)
@@ -316,6 +329,8 @@ def vi_degree(
     E = |columns| + n*d the subvariety's dimension and mu the column set's
     complementary partition, then scales by (-1)^(m(m-1)/2) / n^m.
     """
+    from mpmath import workprec
+
     cols = tuple(columns.columns) if isinstance(columns, SchubertSymbol) else tuple(
         int(c) for c in columns
     )
@@ -391,6 +406,7 @@ class CorrelatorSpec:
 
 def _elementary_all(qs):
     # e_0..e_m of the subset via incremental expansion of prod(1 + q_i t)
+    from mpmath import mpc
     e = [mpc(1)] + [mpc(0)] * len(qs)
     for idx, q in enumerate(qs, start=1):
         for k in range(idx, 0, -1):
@@ -419,6 +435,8 @@ def vi_correlator(
     Each critical subset contributes the class values times the inverse
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
+    from mpmath import workprec
+
     check_tolerance(tolerance)
     m, p = spec.m, spec.p
     n = m + p

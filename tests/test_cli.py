@@ -3,9 +3,11 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quotdeg
 from quotdeg.cli import main
 from quotdeg.recurrence_degree import quot_degree
 
@@ -131,6 +133,9 @@ def test_degree_csv_format(capsys):
          "--precision", "-5"),
         ("correlator", "--m", "2", "--p", "2", "--powers", "8,0", "--precision", "3"),
         ("verify", "--max-n", "3", "--max-dim", "4", "--precision", "2"),
+        # p <= 0 in the --i form, refused like the --q and --alpha forms
+        ("degree", "--m", "2", "--p", "0", "--i", "1,2"),
+        ("degree", "--m", "2", "--p", "-1", "--i", "1,2"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -356,3 +361,35 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["methods"]["chain"]["degree"] == "2"
+
+
+FLOAT_STACK_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from quotdeg.cli import main
+
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+    return sorted({"mpmath", "fractions"} & set(sys.modules))
+
+print(json.dumps([
+    loaded("degree --m 3 --p 3 --q 4 --method chain"),
+    loaded("degree --m 3 --p 3 --q 4 --method recurrence"),
+    loaded("table --m 2 --p 2 --max-q 3"),
+    loaded("chains --n 4 --alpha 4,7"),
+    loaded("degree --m 3 --p 3 --q 4 --method vi --precision 80"),
+]))
+"""
+
+
+def test_integer_commands_never_load_the_float_stack():
+    # a fresh interpreter: this one has imported mpmath already
+    src = str(Path(quotdeg.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", FLOAT_STACK_PROBE, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    *integer, vi = json.loads(proc.stdout)
+    assert integer == [[], [], [], []]
+    assert "mpmath" in vi

@@ -153,3 +153,26 @@ def test_bottom_index_degree_is_one():
 def test_recurrence_agrees_on_large_single_index():
     alpha = validate_index((6, 9, 11), 6)
     assert degree_recurrence(alpha.entries, 3, 6) == degree_chain(alpha)
+
+
+@pytest.mark.parametrize("order", [((1, 3), (2, 4), (3, 4)), ((3, 4), (2, 4), (1, 3))])
+def test_override_outside_region_feeds_dependents(order):
+    # (0, 3) is on the boundary (leading entry 0), yet its override is read
+    # by (1, 3) and everything above it; unoverridden these are 1, 2 and 2
+    table = RecurrenceTable(2, 4, overrides={(0, 3): 5})
+    expected = {(1, 3): 6, (2, 4): 12, (3, 4): 12}
+    for entries in order:
+        assert table.degree(entries) == expected[entries]
+
+
+def test_query_order_does_not_change_values():
+    from quotdeg.verify import windowed_indices
+
+    for n in range(2, 7):
+        for m in range(1, n):
+            tuples = list(windowed_indices(n, m, 12))
+            top_down, bottom_up = RecurrenceTable(m, n), RecurrenceTable(m, n)
+            down = {t: top_down.degree(t) for t in reversed(tuples)}
+            up = {t: bottom_up.degree(t) for t in tuples}
+            fresh = {t: RecurrenceTable(m, n).degree(t) for t in tuples}
+            assert down == up == fresh, (m, n)
