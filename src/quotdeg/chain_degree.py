@@ -3,10 +3,12 @@
 The degree of the subvariety named by a windowed index alpha equals the
 number of maximal chains in the componentwise order below alpha.  Every
 cover step decrements a single entry, so the count satisfies a sum over
-lower covers; degree_chain evaluates that sum with an explicit worklist
-(no recursion depth limit), enumerate_chains lists the chains themselves,
-and degree_bruteforce recounts paths by plain depth-first walking upward
-from the bottom, sharing no code with the worklist.
+lower covers; degree_chain evaluates that sum in a single iterative
+post-order walk down from alpha (each tuple's decrements are generated
+once, the stack holds only the current path, and there is no recursion
+depth limit), enumerate_chains lists the chains themselves, and
+degree_bruteforce recounts paths by plain depth-first walking upward from
+the bottom, sharing no code with the walk.
 
 Note the bottom (1, ..., m) is automatically <= any valid index: strictly
 increasing positive entries force alpha_l >= l, so there is no reachable
@@ -16,6 +18,7 @@ increasing positive entries force alpha_l >= l, so there is no reachable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .indices import CompositeIndex, _decrement_tuples, _require_window, dimension
 
@@ -42,28 +45,21 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
         return memo[key]
     bottom = tuple(range(1, alpha.m + 1))
 
-    # collect everything reachable by decrements, stopping at memoized leaves
-    seen = {alpha.entries}
-    pending = [alpha.entries]
-    while pending:
-        cur = pending.pop()
-        if (cur, n) in memo or cur == bottom:
-            continue
-        for dec in _decrement_tuples(cur, n):
-            if dec not in seen:
-                seen.add(dec)
-                pending.append(dec)
-
-    # fill in lexicographic order; a decrement is lexicographically smaller
-    # than the tuple it came from, so it always comes first
-    for cur in sorted(seen):
-        k = (cur, n)
-        if k in memo:
-            continue
-        if cur == bottom:
-            memo[k] = 1
+    # one post-order walk: a frame is summed once every decrement has a memo
+    # entry; the stack holds only the current path down from alpha
+    stack = [(alpha.entries, _decrement_tuples(alpha.entries, n))]
+    while stack:
+        cur, decs = stack[-1]
+        for dec in decs:
+            if (dec, n) not in memo:
+                if dec == bottom:
+                    memo[(dec, n)] = 1
+                else:
+                    stack.append((dec, _decrement_tuples(dec, n)))
+                    break
         else:
-            memo[k] = sum(memo[(dec, n)] for dec in _decrement_tuples(cur, n))
+            stack.pop()
+            memo[(cur, n)] = 1 if cur == bottom else sum(memo[(dec, n)] for dec in decs)
     return memo[key]
 
 
@@ -102,7 +98,9 @@ def _iter_chain_tuples(target: tuple[int, ...], n: int):
     if bottom == target:
         yield (bottom,)
         return
-    stack: list[tuple[tuple[int, ...], ...]] = [(bottom, iter(_upward_steps(bottom, target, n)))]
+    stack: list[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]] = [
+        (bottom, iter(_upward_steps(bottom, target, n)))
+    ]
     while stack:
         cur, it = stack[-1]
         nxt = next(it, None)

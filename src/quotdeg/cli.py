@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -45,8 +44,6 @@ EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_DIMENSION = 3
 EXIT_TOLERANCE = 4
-
-PRECISION_ENV = "QUOTDEG_PRECISION"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,21 +80,6 @@ def _tolerance(text: str) -> float:
         return check_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _resolve_precision(args) -> int:
-    if args.precision is not None:
-        return args.precision
-    env = os.environ.get(PRECISION_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvalidIndexError(f"{PRECISION_ENV}={env!r} is not an integer")
-        if value < 4:
-            raise InvalidIndexError(f"{PRECISION_ENV}={env!r} is below 4 bits")
-        return value
-    return DEFAULT_PRECISION
 
 
 def _write(fmt: str, doc: dict, header: list[str], rows: list[list[str]], text: list[str]) -> None:
@@ -155,7 +137,6 @@ def _degree_request(args):
 
 
 def cmd_degree(args) -> int:
-    precision = _resolve_precision(args)
     m, p, n, symbol, alpha, q_echo = _degree_request(args)
 
     wanted = ["chain", "recurrence", "vi"] if args.method == "all" else [args.method]
@@ -171,7 +152,7 @@ def cmd_degree(args) -> int:
             else:
                 result = vi_degree(
                     symbol.columns, symbol.offset, m, p,
-                    precision=precision, tolerance=args.tolerance,
+                    precision=args.precision, tolerance=args.tolerance,
                 )
                 value = result.value
                 if args.verbose:
@@ -195,7 +176,7 @@ def cmd_degree(args) -> int:
     doc = {
         "command": "degree",
         "request": request,
-        "precision": str(precision),
+        "precision": str(args.precision),
         "tolerance": str(args.tolerance),
         "methods": methods,
         "agreement": agreement,
@@ -213,12 +194,11 @@ def cmd_degree(args) -> int:
 
 
 def cmd_correlator(args) -> int:
-    precision = _resolve_precision(args)
     if args.m < 1 or args.p < 1:
         raise InvalidIndexError(f"m and p must be positive, got m={args.m} p={args.p}")
     spec = CorrelatorSpec.from_powers(args.powers, args.m, args.p)
     start = time.perf_counter()
-    result = vi_correlator(spec, precision=precision, tolerance=args.tolerance)
+    result = vi_correlator(spec, precision=args.precision, tolerance=args.tolerance)
     elapsed = time.perf_counter() - start
     m, p = str(spec.m), str(spec.p)
     powers = ",".join(str(a) for a in spec.powers)
@@ -227,7 +207,7 @@ def cmd_correlator(args) -> int:
         "command": "correlator",
         "request": {"m": m, "p": p, "powers": powers},
         "n": n, "q": q, "value": value,
-        "precision": str(precision),
+        "precision": str(args.precision),
         "tolerance": str(args.tolerance),
     }
     if args.verbose:
@@ -296,13 +276,12 @@ def cmd_chains(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    precision = _resolve_precision(args)
     if args.max_n < 2:
         raise InvalidIndexError(f"--max-n must be at least 2, got {args.max_n}")
     if args.max_dim < 0:
         raise InvalidIndexError(f"--max-dim must be nonnegative, got {args.max_dim}")
     report = run_verify(
-        max_n=args.max_n, max_dim=args.max_dim, precision=precision,
+        max_n=args.max_n, max_dim=args.max_dim, precision=args.precision,
         tolerance=args.tolerance, inject_fault=args.inject_fault, duality=args.duality,
     )
     status = "pass" if report.ok else "fail"
@@ -347,8 +326,8 @@ def _add_common(parser, numeric: bool) -> None:
                         help="output format (default json)")
     if numeric:
         parser.add_argument(
-            "--precision", type=_precision, default=None, metavar="BITS",
-            help=f"working precision in bits (default ${PRECISION_ENV} or {DEFAULT_PRECISION})",
+            "--precision", type=_precision, default=DEFAULT_PRECISION, metavar="BITS",
+            help=f"working precision in bits (default {DEFAULT_PRECISION})",
         )
         parser.add_argument(
             "--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE, metavar="EPS",

@@ -111,16 +111,6 @@ class RecurrenceTable:
         return values[t]
 
 
-def degree_recurrence(
-    entries: tuple[int, ...],
-    m: int,
-    n: int,
-    overrides: dict[tuple[int, ...], int] | None = None,
-) -> int:
-    """One-shot recurrence solve; boundary probes evaluate to 0, never error."""
-    return RecurrenceTable(m, n, overrides).degree(tuple(entries))
-
-
 def subvariety_degree(columns, d: int, m: int, p: int, q: int) -> int:
     """Degree of the subvariety named by a column set and shift d inside
     the order-q space; the value itself does not depend on q beyond the

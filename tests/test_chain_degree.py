@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quotdeg.chain_degree
 from quotdeg.chain_degree import (
     degree_bruteforce,
     degree_chain,
@@ -10,12 +11,16 @@ from quotdeg.chain_degree import (
 from quotdeg.indices import (
     CompositeIndex,
     InvalidIndexError,
+    SchubertSymbol,
     bottom_index,
     covers,
     dimension,
     lower_covers,
+    lower_set,
+    schubert_to_composite,
     validate_index,
 )
+from quotdeg.recurrence_degree import RecurrenceTable
 
 from oracles import rectangle_syt_count
 
@@ -68,6 +73,56 @@ def test_memo_reuse_is_consistent():
     # one table can serve several periods at once
     assert degree_chain(validate_index((4, 5), 5), memo) == 5
     assert degree_chain(a, memo) == 8
+
+
+def _top_index(m, p, q):
+    return schubert_to_composite(SchubertSymbol(tuple(range(p + 1, m + p + 1)), q), m + p)
+
+
+def test_fresh_memo_holds_exactly_the_lower_set():
+    for m in range(1, 4):
+        for p in range(1, 4):
+            for q in range(4):
+                alpha = _top_index(m, p, q)
+                memo = {}
+                degree_chain(alpha, memo)
+                assert set(memo) == {(t.entries, alpha.n) for t in lower_set(alpha)}
+    for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147)):
+        memo = {}
+        degree_chain(_top_index(m, p, q), memo)
+        assert len(memo) == size
+
+
+def test_each_tuple_generates_its_decrements_once(monkeypatch):
+    calls = []
+    real = quotdeg.chain_degree._decrement_tuples
+
+    def counting(entries, n):
+        calls.append(entries)
+        return real(entries, n)
+
+    monkeypatch.setattr(quotdeg.chain_degree, "_decrement_tuples", counting)
+    for m, p, q in ((3, 3, 4), (2, 5, 6), (1, 3, 2), (2, 2, 0)):
+        calls.clear()
+        memo = {}
+        degree_chain(_top_index(m, p, q), memo)
+        # every memo entry but the bottom is summed from one decrement list
+        assert len(calls) == len(memo) - 1
+        assert len(set(calls)) == len(calls)
+
+
+def test_seeded_memo_entry_is_a_leaf():
+    memo = {((2,), 2): 2}
+    assert degree_chain(CompositeIndex((5,), 2), memo) == 2
+    assert memo[((2,), 2)] == 2
+    # the walk stops at the seeded entry and never reaches the bottom
+    assert ((1,), 2) not in memo
+
+
+def test_deep_index_needs_no_recursion():
+    alpha = CompositeIndex((3000, 3001), 3)
+    assert dimension(alpha) == 5998
+    assert degree_chain(alpha) == RecurrenceTable(2, 3).degree(alpha.entries)
 
 
 @settings(max_examples=100, deadline=None)

@@ -186,28 +186,15 @@ def test_degree_verbose_adds_evidence(capsys):
     assert "residual" in doc["methods"]["vi"]
 
 
-def test_precision_env_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("QUOTDEG_PRECISION", "100")
+def test_precision_environment_variable_is_ignored(capsys, monkeypatch):
+    # precision comes from --precision alone; an integer-only request runs no
+    # fixed-point sum and must not read any precision setting
+    monkeypatch.setenv("QUOTDEG_PRECISION", "abc")
+    code, _, _ = run_cli(capsys, "degree", "--m", "2", "--p", "2", "--q", "1", "--method", "chain")
+    assert code == 0
     code, out, _ = run_cli(capsys, "degree", "--m", "2", "--p", "2", "--q", "1")
     assert code == 0
-    assert json.loads(out)["precision"] == "100"
-
-
-def test_precision_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("QUOTDEG_PRECISION", "100")
-    code, out, _ = run_cli(
-        capsys, "degree", "--m", "2", "--p", "2", "--q", "1", "--precision", "64"
-    )
-    assert code == 0
-    assert json.loads(out)["precision"] == "64"
-
-
-@pytest.mark.parametrize("env", ["abc", "2", "-7"])
-def test_bad_precision_env_exits_one(capsys, monkeypatch, env):
-    monkeypatch.setenv("QUOTDEG_PRECISION", env)
-    code, _, err = run_cli(capsys, "degree", "--m", "2", "--p", "2", "--q", "1")
-    assert code == 1
-    assert "QUOTDEG_PRECISION" in err
+    assert json.loads(out)["precision"] == "53"
 
 
 def test_correlator_json(capsys):

@@ -33,7 +33,6 @@ def observe(argv: str) -> dict:
     """Run one invocation; argparse wraps usage lines at $COLUMNS, so pin it."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        os.environ.pop("QUOTDEG_PRECISION", None)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv.split())
     return {

@@ -6,7 +6,6 @@ from quotdeg.chain_degree import degree_chain
 from quotdeg.indices import bottom_index, validate_index
 from quotdeg.recurrence_degree import (
     RecurrenceTable,
-    degree_recurrence,
     quot_degree,
     subvariety_degree,
 )
@@ -25,7 +24,7 @@ from oracles import rectangle_syt_count
     ],
 )
 def test_degree_recurrence_known_values(entries, n, expected):
-    assert degree_recurrence(entries, len(entries), n) == expected
+    assert RecurrenceTable(len(entries), n).degree(entries) == expected
 
 
 @pytest.mark.parametrize(
@@ -147,12 +146,12 @@ def test_bottom_index_degree_is_one():
     for m in range(1, 5):
         for p in range(1, 5):
             alpha = bottom_index(m, m + p)
-            assert degree_recurrence(alpha.entries, m, m + p) == 1
+            assert RecurrenceTable(m, m + p).degree(alpha.entries) == 1
 
 
 def test_recurrence_agrees_on_large_single_index():
     alpha = validate_index((6, 9, 11), 6)
-    assert degree_recurrence(alpha.entries, 3, 6) == degree_chain(alpha)
+    assert RecurrenceTable(3, 6).degree(alpha.entries) == degree_chain(alpha)
 
 
 @pytest.mark.parametrize("order", [((1, 3), (2, 4), (3, 4)), ((3, 4), (2, 4), (1, 3))])
