@@ -12,7 +12,6 @@ from .chain_degree import (
 from .indices import (
     CompositeIndex,
     InvalidIndexError,
-    Partition,
     SchubertSymbol,
     bottom_index,
     composite_to_schubert,
@@ -21,8 +20,6 @@ from .indices import (
     leq_componentwise,
     leq_sequence,
     lower_covers,
-    lower_set,
-    partition_of,
     schubert_to_composite,
     symbol_dimension,
     validate_index,
@@ -30,7 +27,6 @@ from .indices import (
 from .recurrence_degree import (
     RecurrenceTable,
     quot_degree,
-    subvariety_degree,
 )
 from .vafa import (
     CorrelatorSpec,
@@ -41,7 +37,6 @@ from .vafa import (
     lg_roots,
     power_sum,
     powersum_determinant,
-    schur_eval,
     vandermonde,
     vi_correlator,
     vi_degree,
@@ -59,7 +54,6 @@ __all__ = [
     "InvalidIndexError",
     "LGRootSystem",
     "NumericResult",
-    "Partition",
     "RecurrenceTable",
     "SchubertSymbol",
     "ToleranceError",
@@ -75,15 +69,11 @@ __all__ = [
     "leq_sequence",
     "lg_roots",
     "lower_covers",
-    "lower_set",
-    "partition_of",
     "power_sum",
     "powersum_determinant",
     "quot_degree",
     "run_verify",
     "schubert_to_composite",
-    "schur_eval",
-    "subvariety_degree",
     "symbol_dimension",
     "validate_index",
     "vandermonde",

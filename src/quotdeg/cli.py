@@ -131,7 +131,7 @@ def _degree_request(args):
         else:
             symbol, q_echo = SchubertSymbol(tuple(range(p + 1, n + 1)), args.q), str(args.q)
         alpha = schubert_to_composite(symbol, n)
-    if symbol.columns[-1] > n or any(c > p + l for l, c in enumerate(symbol.columns, 1)):
+    if symbol.m != m:
         raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
     return m, p, n, symbol, alpha, q_echo
 

@@ -12,7 +12,7 @@ fixed-point formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class InvalidIndexError(ValueError):
@@ -88,35 +88,6 @@ class SchubertSymbol:
     def __str__(self) -> str:
         cols = ",".join(str(c) for c in self.columns)
         return f"({cols};{self.offset})"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing parts, padded to m rows, with reference box m x p.
-
-    Parts may exceed p; the box records which rectangle the partition is
-    measured against, and mu_1 <= p holds exactly when the partition comes
-    from a column set that names a nonempty subvariety.
-    """
-
-    parts: tuple[int, ...]
-    m: int
-    p: int
-
-    def __post_init__(self) -> None:
-        parts = tuple(int(x) for x in self.parts)
-        if len(parts) > self.m:
-            raise InvalidIndexError(f"{parts} has more than {self.m} parts")
-        parts = parts + (0,) * (self.m - len(parts))
-        object.__setattr__(self, "parts", parts)
-        if any(x < 0 for x in parts):
-            raise InvalidIndexError(f"parts must be nonnegative: {parts}")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise InvalidIndexError(f"parts must weakly decrease: {parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
 
 
 def validate_index(entries: Iterable[int], n: int) -> CompositeIndex:
@@ -263,35 +234,3 @@ def lower_covers(alpha: CompositeIndex) -> list[CompositeIndex]:
     return [
         CompositeIndex(t, alpha.n) for t in _decrement_tuples(alpha.entries, alpha.n)
     ]
-
-
-def lower_set(alpha: CompositeIndex) -> Iterator[CompositeIndex]:
-    """All windowed indices <= alpha componentwise, in lexicographic order."""
-    _require_window(alpha)
-    n, m, top = alpha.n, alpha.m, alpha.entries
-
-    def rec(prefix: tuple[int, ...]) -> Iterator[CompositeIndex]:
-        l = len(prefix)
-        if l == m:
-            yield CompositeIndex(prefix, n)
-            return
-        lo = prefix[-1] + 1 if prefix else 1
-        hi = top[l]
-        if prefix:
-            # leave room for the remaining entries inside the window
-            hi = min(hi, prefix[0] + n - 1 - (m - 1 - l))
-        for v in range(lo, hi + 1):
-            yield from rec(prefix + (v,))
-
-    yield from rec(())
-
-
-def partition_of(s: SchubertSymbol, p: int) -> Partition:
-    """Complementary partition (p + l - i_l) of a column set in an m x p box."""
-    for l, c in enumerate(s.columns, start=1):
-        if c > p + l:
-            raise InvalidIndexError(
-                f"column {c} at position {l} exceeds {p + l}; the symbol names nothing"
-            )
-    parts = tuple(p + l - c for l, c in enumerate(s.columns, start=1))
-    return Partition(parts, s.m, p)

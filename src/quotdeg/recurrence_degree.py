@@ -17,7 +17,7 @@ outside the region is on the boundary and reads 0 (or its override).
 
 from __future__ import annotations
 
-from .indices import InvalidIndexError, SchubertSymbol, schubert_to_composite
+from .indices import SchubertSymbol, schubert_to_composite
 
 
 class RecurrenceTable:
@@ -111,31 +111,12 @@ class RecurrenceTable:
         return values[t]
 
 
-def subvariety_degree(columns, d: int, m: int, p: int, q: int) -> int:
-    """Degree of the subvariety named by a column set and shift d inside
-    the order-q space; the value itself does not depend on q beyond the
-    validity bound d <= q."""
-    cols = tuple(int(c) for c in columns)
-    if len(cols) != m:
-        raise InvalidIndexError(f"expected {m} columns, got {cols}")
-    if not 0 <= d <= q:
-        raise InvalidIndexError(f"shift {d} must lie in [0, {q}]")
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
-    for l, c in enumerate(cols, start=1):
-        if c > p + l:
-            raise InvalidIndexError(
-                f"column {c} at position {l} exceeds {p + l}; the symbol names nothing"
-            )
-    alpha = schubert_to_composite(SchubertSymbol(cols, d), m + p)
-    return RecurrenceTable(m, m + p).degree(alpha.entries)
-
-
 def quot_degree(m: int, p: int, q: int) -> int:
     """Degree of the full order-q space in its ambient projective embedding."""
     if m < 1 or p < 1:
         raise ValueError(f"m and p must be positive, got m={m} p={p}")
     if q < 0:
         raise ValueError(f"q must be nonnegative, got {q}")
-    top = tuple(range(p + 1, m + p + 1))
-    return subvariety_degree(top, q, m, p, q)
+    n = m + p
+    top = schubert_to_composite(SchubertSymbol(tuple(range(p + 1, n + 1)), q), n)
+    return RecurrenceTable(m, n).degree(top.entries)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from operator import getitem
 
-from .indices import InvalidIndexError, Partition, SchubertSymbol, partition_of
+from .indices import InvalidIndexError, SchubertSymbol, symbol_dimension
 
 DEFAULT_PRECISION = 53
 DEFAULT_TOLERANCE = 1e-6
@@ -156,11 +156,8 @@ def _exponent_det(exponents, lams, zeta: tuple):
 
 
 def _parts(mu, m: int) -> tuple[int, ...]:
-    # normalize a Partition or bare sequence to exactly m weakly decreasing parts
-    if isinstance(mu, Partition):
-        parts = mu.parts
-    else:
-        parts = tuple(int(x) for x in mu)
+    # normalize a sequence to exactly m weakly decreasing nonnegative parts
+    parts = tuple(int(x) for x in mu)
     if len(parts) > m:
         if any(parts[m:]):
             raise ValueError(f"{parts} has more than {m} nonzero parts")
@@ -171,20 +168,6 @@ def _parts(mu, m: int) -> tuple[int, ...]:
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"parts must weakly decrease: {parts}")
     return parts
-
-
-def schur_eval(values, mu) -> complex:
-    """Schur polynomial at the given points, as a ratio of alternants."""
-    vals = tuple(values)
-    m = len(vals)
-    parts = _parts(mu, m)
-    for j in range(m):
-        for k in range(j + 1, m):
-            if vals[j] == vals[k]:
-                raise ValueError("coincident values make the alternant ratio 0/0")
-    num = _det([[v ** (parts[j] + m - 1 - j) for j in range(m)] for v in vals])
-    den = _det([[v ** (m - 1 - j) for j in range(m)] for v in vals])
-    return num / den
 
 
 def power_sum(k: int, m: int, n: int) -> int:
@@ -301,8 +284,8 @@ def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | No
 
 
 def _degree_term(qs, exponents, lams, exponent: int, zeta: tuple):
-    """One subset's contribution (prod q)(sum q)^E Delta^2 s_mu, computed
-    without division as Delta * det[q_i ^ lam_j] * (sum q)^E.
+    """One subset's contribution Delta * det[q_i ^ lam_j] * (sum q)^E, with
+    lam_j = n + 1 - c_j the column powers.
 
     `qs` are the subset's roots and `exponents` their powers of zeta;
     degenerate subsets contribute 0 through the Delta factor.
@@ -325,24 +308,21 @@ def vi_degree(
 ) -> NumericResult:
     """Degree of the subvariety named by (columns; d) as a fixed-point sum.
 
-    Sums (prod q)(sum q)^E Delta^2 s_mu over m-subsets of the roots, with
-    E = |columns| + n*d the subvariety's dimension and mu the column set's
-    complementary partition, then scales by (-1)^(m(m-1)/2) / n^m.
+    Sums Delta(q) * det[q_i^(n + 1 - c_j)] * (sum q)^E over m-subsets q of
+    the roots, with c_j the columns and E = |columns| + n*d the
+    subvariety's dimension, then scales by (-1)^(m(m-1)/2) / n^m.
     """
     from mpmath import workprec
 
-    cols = tuple(columns.columns) if isinstance(columns, SchubertSymbol) else tuple(
-        int(c) for c in columns
+    symbol = SchubertSymbol(
+        columns.columns if isinstance(columns, SchubertSymbol) else columns, d
     )
-    if len(cols) != m:
-        raise InvalidIndexError(f"expected {m} columns, got {cols}")
-    if d < 0:
-        raise InvalidIndexError(f"shift must be nonnegative, got {d}")
-    check_tolerance(tolerance)
     n = m + p
-    mu = partition_of(SchubertSymbol(cols, d), p)
-    exponent = m * p - mu.weight + n * d
-    lams = [mu.parts[j] + m - j for j in range(m)]
+    if symbol.m != m or symbol.columns[-1] > n:
+        raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
+    check_tolerance(tolerance)
+    exponent = symbol_dimension(symbol, n)
+    lams = [n + 1 - c for c in symbol.columns]
     sys = _root_system(m, n, precision, roots)
     # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
     parity = 1 - m % 2

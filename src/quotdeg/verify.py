@@ -92,8 +92,6 @@ def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...
     """All (columns, d) naming a subvariety with dimension <= max_dim."""
     n = m + p
     for cols in itertools.combinations(range(1, n + 1), m):
-        if any(c > p + l for l, c in enumerate(cols, start=1)):
-            continue
         base = sum(c - l for l, c in enumerate(cols, start=1))
         if base > max_dim:
             continue
@@ -209,7 +207,7 @@ def pieri_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResu
 
 
 def chain_oracle_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResult:
-    """Worklist count agrees with the uncached upward walk (small range)."""
+    """Memoized post-order walk agrees with the uncached upward walk (small range)."""
     out = SuiteResult("chain_oracle")
     if memo is None:
         memo = {}

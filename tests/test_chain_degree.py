@@ -16,13 +16,12 @@ from quotdeg.indices import (
     covers,
     dimension,
     lower_covers,
-    lower_set,
     schubert_to_composite,
     validate_index,
 )
 from quotdeg.recurrence_degree import RecurrenceTable
 
-from oracles import rectangle_syt_count
+from oracles import rectangle_syt_count, windowed_lower_set
 
 
 @st.composite
@@ -86,7 +85,8 @@ def test_fresh_memo_holds_exactly_the_lower_set():
                 alpha = _top_index(m, p, q)
                 memo = {}
                 degree_chain(alpha, memo)
-                assert set(memo) == {(t.entries, alpha.n) for t in lower_set(alpha)}
+                lower = windowed_lower_set(alpha.entries, alpha.n)
+                assert set(memo) == {(t, alpha.n) for t in lower}
     for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147)):
         memo = {}
         degree_chain(_top_index(m, p, q), memo)

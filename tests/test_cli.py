@@ -105,7 +105,7 @@ def test_degree_csv_format(capsys):
         ("degree",),  # no request form at all
         ("degree", "--n", "4", "--alpha", "4,7", "--m", "2"),  # mixed forms
         ("degree", "--m", "2", "--i", "3,4"),  # --i without --p
-        ("degree", "--m", "2", "--p", "2", "--i", "2,5"),  # column above p+l
+        ("degree", "--m", "2", "--p", "2", "--i", "2,5"),  # column above n
         ("degree", "--n", "4", "--alpha", "1,6"),  # wide index, no symbol
         ("degree", "--n", "4", "--alpha", "1,5"),  # residue clash
         ("degree", "--m", "2", "--p", "2", "--q", "-1"),  # negative order
@@ -136,6 +136,10 @@ def test_degree_csv_format(capsys):
         # p <= 0 in the --i form, refused like the --q and --alpha forms
         ("degree", "--m", "2", "--p", "0", "--i", "1,2"),
         ("degree", "--m", "2", "--p", "-1", "--i", "1,2"),
+        # a column count other than m names nothing for that m
+        ("degree", "--m", "3", "--p", "2", "--i", "2,3", "--d", "1", "--method", "chain"),
+        ("degree", "--m", "2", "--p", "2", "--i", "3", "--method", "chain"),
+        ("degree", "--m", "2", "--p", "2", "--i", "1,2,3"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

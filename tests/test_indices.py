@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from quotdeg.indices import (
     CompositeIndex,
     InvalidIndexError,
-    Partition,
     SchubertSymbol,
     _merged_prefix,
     bottom_index,
@@ -17,12 +16,12 @@ from quotdeg.indices import (
     leq_componentwise,
     leq_sequence,
     lower_covers,
-    lower_set,
-    partition_of,
     schubert_to_composite,
     symbol_dimension,
     validate_index,
 )
+
+from oracles import windowed_lower_set
 
 
 @st.composite
@@ -242,66 +241,9 @@ def test_lower_covers_match_covers(alpha):
             assert not covers(alpha, beta)
 
 
-def test_lower_set_examples():
-    got = [c.entries for c in lower_set(validate_index((2, 3), 4))]
-    assert got == [(1, 2), (1, 3), (2, 3)]
-    assert len(list(lower_set(validate_index((3, 4), 4)))) == 6
-
-
-def test_lower_set_is_lexicographic_and_complete():
-    alpha = validate_index((4, 6), 4)
-    got = [c.entries for c in lower_set(alpha)]
-    assert got == sorted(got)
-    # brute force: windowed tuples componentwise below alpha
-    expect = [
-        (a, b)
-        for a in range(1, 5)
-        for b in range(a + 1, 7)
-        if b <= 6 and b - a < 4 and a <= 4
-    ]
-    assert got == expect
-
-
-@settings(max_examples=100)
-@given(windowed_indices(max_n=5, max_base=4))
-def test_lower_set_agrees_with_orders(alpha):
-    members = list(lower_set(alpha))
-    for beta in members:
-        assert leq_componentwise(beta.entries, alpha.entries)
-        assert leq_sequence(beta, alpha)
-
-
-def test_partition_of_examples():
-    assert partition_of(SchubertSymbol((2, 4)), 2).parts == (1, 0)
-    assert partition_of(SchubertSymbol((3, 4)), 2).parts == (0, 0)
-    assert partition_of(SchubertSymbol((1, 2)), 2).parts == (2, 2)
-    with pytest.raises(InvalidIndexError):
-        partition_of(SchubertSymbol((4,)), 2)  # column beyond p + 1
-
-
-@settings(max_examples=100)
-@given(symbols())
-def test_partition_weight_complements_dimension(sn):
-    s, n = sn
-    p = n - s.m
-    mu = partition_of(s, p)
-    base = sum(c - l for l, c in enumerate(s.columns, start=1))
-    assert mu.weight == s.m * p - base
-    assert all(0 <= x <= p for x in mu.parts)
-
-
-def test_partition_validation():
-    assert Partition((2, 1), 3, 2).parts == (2, 1, 0)
-    with pytest.raises(InvalidIndexError):
-        Partition((1, 2), 2, 2)
-    with pytest.raises(InvalidIndexError):
-        Partition((1, 2, 3, 4), 3, 2)
-
-
 def test_cover_soundness_small():
     # covers == "no index strictly between" on the lower set of (4,7) mod 4
-    alpha = validate_index((4, 7), 4)
-    pool = list(lower_set(alpha))
+    pool = [validate_index(t, 4) for t in windowed_lower_set((4, 7), 4)]
     for a, b in itertools.product(pool, repeat=2):
         if a == b or not leq_componentwise(b.entries, a.entries):
             continue

@@ -3,12 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quotdeg.chain_degree import degree_chain
-from quotdeg.indices import bottom_index, validate_index
-from quotdeg.recurrence_degree import (
-    RecurrenceTable,
-    quot_degree,
-    subvariety_degree,
-)
+from quotdeg.indices import SchubertSymbol, bottom_index, schubert_to_composite, validate_index
+from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 
 from oracles import rectangle_syt_count
 
@@ -96,18 +92,10 @@ def test_override_base_cell_propagates():
     ],
 )
 def test_subvariety_degree_values(columns, d, m, p, q, expected):
-    assert subvariety_degree(columns, d, m, p, q) == expected
-
-
-def test_subvariety_degree_validation():
-    with pytest.raises(ValueError):
-        subvariety_degree((2, 4), 2, 2, 2, 1)  # d exceeds q
-    with pytest.raises(ValueError):
-        subvariety_degree((2, 4), -1, 2, 2, 1)
-    with pytest.raises(ValueError):
-        subvariety_degree((2,), 0, 2, 2, 1)  # wrong number of columns
-    with pytest.raises(ValueError):
-        subvariety_degree((2, 5), 0, 2, 2, 1)  # column above p + l
+    # the degree of (columns; d) is the same in every order-q space with d <= q
+    assert d <= q
+    alpha = schubert_to_composite(SchubertSymbol(columns, d), m + p)
+    assert RecurrenceTable(m, m + p).degree(alpha.entries) == expected
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from quotdeg.chain_degree import degree_chain
-from quotdeg.indices import InvalidIndexError, Partition, SchubertSymbol, schubert_to_composite
-from quotdeg.recurrence_degree import quot_degree, subvariety_degree
+from quotdeg.indices import InvalidIndexError, SchubertSymbol, schubert_to_composite
+from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 from quotdeg.vafa import (
     DEFAULT_PRECISION,
     CorrelatorSpec,
@@ -20,11 +20,15 @@ from quotdeg.vafa import (
     lg_roots,
     power_sum,
     powersum_determinant,
-    schur_eval,
     vandermonde,
     vi_correlator,
     vi_degree,
 )
+
+
+def _recurrence_degree(columns, d, m, p):
+    alpha = schubert_to_composite(SchubertSymbol(columns, d), m + p)
+    return RecurrenceTable(m, m + p).degree(alpha.entries)
 
 
 def test_roots_satisfy_defining_equation():
@@ -96,40 +100,12 @@ def test_vandermonde():
     assert vandermonde((1, 4, 9)) == (1 - 4) * (1 - 9) * (4 - 9)
 
 
-def test_schur_eval_small_cases():
-    assert schur_eval((2, 3), (1, 0)) == 5
-    assert schur_eval((2, 3), (1, 1)) == 6
-    assert schur_eval((2, 3), (0, 0)) == 1
-    # s_(2) = h_2 = x^2 + xy + y^2
-    assert schur_eval((2, 3), (2, 0)) == 4 + 6 + 9
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(-6, 6), min_size=2, max_size=4, unique=True),
-    st.data(),
-)
-def test_schur_eval_is_symmetric(values, data):
-    mu = sorted(
-        data.draw(st.lists(st.integers(0, 4), min_size=len(values), max_size=len(values))),
-        reverse=True,
-    )
-    perm = data.draw(st.permutations(values))
-    assert schur_eval(values, mu) == schur_eval(perm, mu)
-
-
-def test_schur_eval_rejects_coincident_values():
-    with pytest.raises(ValueError):
-        schur_eval((2, 2), (1, 0))
-
-
 def test_partition_normalization_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        schur_eval((2, 3), (1, 2))  # parts must weakly decrease
+        powersum_determinant((1, 2), 2, 4)  # parts must weakly decrease
     with pytest.raises(ValueError):
-        schur_eval((2, 3), (2, 1, 1))  # more nonzero parts than values
-    assert schur_eval((2, 3), (1, 1, 0)) == 6  # trailing zeros are fine
-    assert schur_eval((2, 3), Partition((1, 0), 2, 3)) == 5
+        powersum_determinant((2, 1, 1), 2, 4)  # more nonzero parts than m
+    assert powersum_determinant((2, 2, 0), 2, 4) == 1  # trailing zeros are fine
 
 
 @pytest.mark.parametrize(
@@ -223,6 +199,8 @@ def test_vi_degree_validation():
         vi_degree((3, 4), -1, 2, 2)
     with pytest.raises(InvalidIndexError):
         vi_degree((3,), 0, 2, 2)
+    with pytest.raises(InvalidIndexError):
+        vi_degree((1, 5), 0, 2, 2)  # column above n
 
 
 def test_vi_degree_accepts_prebuilt_roots():
@@ -257,7 +235,7 @@ def test_vi_degree_refuses_unsafe_rounding():
     with pytest.raises(ToleranceError):
         vi_degree((5, 6, 7, 8), 2, 4, 4, precision=16)
     result = vi_degree((5, 6, 7, 8), 2, 4, 4, precision=80)
-    assert result.value == subvariety_degree((5, 6, 7, 8), 2, 4, 4, 2)
+    assert result.value == _recurrence_degree((5, 6, 7, 8), 2, 4, 4)
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-6, 0.5])
@@ -306,9 +284,7 @@ def symbols(draw):
 @given(symbols())
 def test_vi_degree_matches_recurrence(sym):
     columns, d, m, p, = sym
-    assert vi_degree(columns, d, m, p).value == subvariety_degree(
-        columns, d, m, p, d
-    )
+    assert vi_degree(columns, d, m, p).value == _recurrence_degree(columns, d, m, p)
 
 
 def test_correlator_spec_infers_order():
