@@ -6,9 +6,9 @@ cover step decrements a single entry, so the count satisfies a sum over
 lower covers; degree_chain evaluates that sum in a single iterative
 post-order walk down from alpha (each tuple's decrements are generated
 once, the stack holds only the current path, and there is no recursion
-depth limit), enumerate_chains lists the chains themselves, and
-degree_bruteforce recounts paths by plain depth-first walking upward from
-the bottom, sharing no code with the walk.
+depth limit), enumerate_chains lists the chains themselves by a plain
+depth-first walk upward from the bottom, and degree_bruteforce counts every
+path of that upward walk, sharing no code with degree_chain's walk.
 
 Note the bottom (1, ..., m) is automatically <= any valid index: strictly
 increasing positive entries force alpha_l >= l, so there is no reachable
@@ -133,20 +133,12 @@ def enumerate_chains(alpha: CompositeIndex, cap: int = DEFAULT_CHAIN_CAP) -> Cha
 def degree_bruteforce(alpha: CompositeIndex, max_dim: int = DEFAULT_BRUTEFORCE_BOUND) -> int:
     """Uncached path count from the bottom, as an oracle for degree_chain.
 
-    Walks upward one increment at a time with no memo table, so its cost
-    is the degree itself; refuses indices of dimension above max_dim.
+    Counts the chains of enumerate_chains' upward walk, one increment at a
+    time with no memo table, so its cost is the degree itself; refuses
+    indices of dimension above max_dim.
     """
     _require_window(alpha)
     dim = dimension(alpha)
     if dim > max_dim:
         raise ValueError(f"dimension {dim} exceeds the brute-force bound {max_dim}")
-    target = alpha.entries
-    n = alpha.n
-    bottom = tuple(range(1, alpha.m + 1))
-
-    def count(cur: tuple[int, ...]) -> int:
-        if cur == target:
-            return 1
-        return sum(count(t) for t in _upward_steps(cur, target, n))
-
-    return count(bottom)
+    return sum(1 for _ in _iter_chain_tuples(alpha.entries, alpha.n))

@@ -194,8 +194,6 @@ def cmd_degree(args) -> int:
 
 
 def cmd_correlator(args) -> int:
-    if args.m < 1 or args.p < 1:
-        raise InvalidIndexError(f"m and p must be positive, got m={args.m} p={args.p}")
     spec = CorrelatorSpec.from_powers(args.powers, args.m, args.p)
     start = time.perf_counter()
     result = vi_correlator(spec, precision=args.precision, tolerance=args.tolerance)

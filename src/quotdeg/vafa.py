@@ -9,10 +9,11 @@ a deterministic reduction order, then snapped to a nearby integer only
 when the residual and imaginary part clear the tolerance and the
 last-place noise the sum can carry stays below it.
 
-Every root is a power of zeta = e^(i pi/n), so the Schur determinant in
-the degree sum is built from integer exponents: each Leibniz term is one
-exponent sum mod 2n, and the determinant is an integer combination of
-zeta^0..zeta^(n-1) read off by a single dot product.
+A root system is one table of zeta^0..zeta^(2n-1), zeta = e^(i pi/n); the
+roots are every other entry.  The degree sum indexes each subset by its
+roots' exponents, so the Schur determinant is built from integers: each
+Leibniz term is one exponent sum mod 2n, and the determinant is an
+integer combination of zeta^0..zeta^(n-1) read off by a single dot product.
 
 The power-sum determinant at the bottom of the formulas is computed
 exactly over the integers, giving an arithmetic-free consistency anchor
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import getitem
 
 from .indices import InvalidIndexError, SchubertSymbol, symbol_dimension
@@ -65,12 +66,21 @@ class NumericResult:
 
 @dataclass(frozen=True)
 class LGRootSystem:
-    """The n roots of z^n + (-1)^m = 0 at a fixed working precision."""
+    """The n roots of z^n + (-1)^m = 0 at a fixed working precision.
+
+    `powers` is zeta^r for r in range(2n), zeta = e^(i pi/n).  Root k is
+    zeta^(2k) for odd m and zeta^(2k+1) for even m, so `roots` is every
+    other entry of that one table.
+    """
 
     m: int
     n: int
     precision: int
-    roots: tuple
+    powers: tuple
+
+    @property
+    def roots(self) -> tuple:
+        return self.powers[1 - self.m % 2 :: 2]
 
 
 def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem:
@@ -85,11 +95,8 @@ def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem
     if precision < 4:
         raise ValueError(f"precision must be at least 4 bits, got {precision}")
     with workprec(precision):
-        if m % 2:
-            roots = tuple(mp.expjpi(mpf(2 * k) / n) for k in range(n))
-        else:
-            roots = tuple(mp.expjpi(mpf(2 * k + 1) / n) for k in range(n))
-    return LGRootSystem(m, n, precision, roots)
+        powers = tuple(mp.expjpi(mpf(r) / n) for r in range(2 * n))
+    return LGRootSystem(m, n, precision, powers)
 
 
 def vandermonde(values) -> complex:
@@ -125,34 +132,23 @@ def _det(rows):
     return total
 
 
-def _zeta_powers(n: int) -> tuple:
-    """zeta^r for r in range(n), zeta = e^(i pi/n), at the working precision.
-
-    Made by the same expjpi calls as lg_roots, so every entry that is a
-    root (r of the root parity) is bit-identical to it.
-    """
-    from mpmath import mp, mpf
-
-    return tuple(mp.expjpi(mpf(r) / n) for r in range(n))
-
-
-def _exponent_det(exponents, lams, zeta: tuple):
+def _exponent_det(exponents, lams, powers: tuple):
     """det[zeta^(e_i * lam_j)] for root exponents e_i and column powers lam_j.
 
     Each Leibniz term is the single power zeta^(sum_i e_i lam_perm(i)), so
     the determinant is an integer vector over zeta^0..zeta^(2n-1), folded
-    onto the n entries of `zeta` by zeta^(r+n) = -zeta^r and evaluated
-    with one dot product.
+    onto the first n entries of `powers` by zeta^(r+n) = -zeta^r and
+    evaluated with one dot product.
     """
     from mpmath import mp
 
-    n = len(zeta)
-    two_n = 2 * n
+    two_n = len(powers)
+    n = two_n // 2
     rows = [[e * lam % two_n for lam in lams] for e in exponents]
     coeffs = [0] * two_n
     for sign, perm in _signed_permutations(len(rows)):
         coeffs[sum(map(getitem, rows, perm)) % two_n] += sign
-    return mp.fdot((coeffs[r] - coeffs[r + n], zeta[r]) for r in range(n))
+    return mp.fdot((coeffs[r] - coeffs[r + n], powers[r]) for r in range(n))
 
 
 def _parts(mu, m: int) -> tuple[int, ...]:
@@ -283,18 +279,17 @@ def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | No
     return lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)
 
 
-def _degree_term(qs, exponents, lams, exponent: int, zeta: tuple):
+def _degree_term(exponents, lams, exponent: int, powers: tuple):
     """One subset's contribution Delta * det[q_i ^ lam_j] * (sum q)^E, with
-    lam_j = n + 1 - c_j the column powers.
-
-    `qs` are the subset's roots and `exponents` their powers of zeta;
-    degenerate subsets contribute 0 through the Delta factor.
+    q_i = zeta^(e_i) the subset's roots and lam_j = n + 1 - c_j the column
+    powers; degenerate subsets contribute 0 through the Delta factor.
     """
+    qs = [powers[e] for e in exponents]
     delta = vandermonde(qs)
     s = qs[0]
     for q in qs[1:]:
         s = s + q
-    return delta * _exponent_det(exponents, lams, zeta) * s**exponent
+    return delta * _exponent_det(exponents, lams, powers) * s**exponent
 
 
 def vi_degree(
@@ -309,14 +304,13 @@ def vi_degree(
     """Degree of the subvariety named by (columns; d) as a fixed-point sum.
 
     Sums Delta(q) * det[q_i^(n + 1 - c_j)] * (sum q)^E over m-subsets q of
-    the roots, with c_j the columns and E = |columns| + n*d the
-    subvariety's dimension, then scales by (-1)^(m(m-1)/2) / n^m.
+    the roots, with c_j the columns (a tuple, c_1 < ... < c_m) and
+    E = |columns| + n*d the subvariety's dimension, then scales by
+    (-1)^(m(m-1)/2) / n^m.
     """
     from mpmath import workprec
 
-    symbol = SchubertSymbol(
-        columns.columns if isinstance(columns, SchubertSymbol) else columns, d
-    )
+    symbol = SchubertSymbol(columns, d)
     n = m + p
     if symbol.m != m or symbol.columns[-1] > n:
         raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
@@ -324,19 +318,11 @@ def vi_degree(
     exponent = symbol_dimension(symbol, n)
     lams = [n + 1 - c for c in symbol.columns]
     sys = _root_system(m, n, precision, roots)
-    # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
-    parity = 1 - m % 2
     with workprec(sys.precision):
-        zeta = _zeta_powers(n)
+        # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
         terms = (
-            _degree_term(
-                [sys.roots[k] for k in ks],
-                [2 * k + parity for k in ks],
-                lams,
-                exponent,
-                zeta,
-            )
-            for ks in itertools.combinations(range(n), m)
+            _degree_term(es, lams, exponent, sys.powers)
+            for es in itertools.combinations(range(1 - m % 2, 2 * n, 2), m)
         )
         return _finalize(*_kahan_sum(terms), m, n, sys.precision, tolerance)
 
@@ -345,31 +331,21 @@ def vi_degree(
 class CorrelatorSpec:
     """Exponents a_1..a_m of the generator classes, with the order q they pin.
 
-    The weighted total sum(l * a_l) must equal m*p + n*q for a nonnegative
-    integer q; from_powers infers q or raises DimensionMismatchError.
+    q is inferred from the powers: the weighted total sum(l * a_l) must
+    equal m*p + n*q for a nonnegative integer q, or construction raises
+    DimensionMismatchError.
     """
 
     powers: tuple[int, ...]
     m: int
     p: int
-    q: int
+    q: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "powers", tuple(int(a) for a in self.powers))
-        if len(self.powers) != self.m:
-            raise ValueError(f"expected {self.m} exponents, got {self.powers}")
-        if any(a < 0 for a in self.powers):
-            raise ValueError(f"exponents must be nonnegative: {self.powers}")
-        weight = sum(l * a for l, a in enumerate(self.powers, start=1))
-        if self.q < 0 or weight != self.m * self.p + (self.m + self.p) * self.q:
-            raise DimensionMismatchError(
-                f"sum(l * a_l) = {weight} does not equal {self.m * self.p} + "
-                f"{self.m + self.p} * {self.q}"
-            )
-
-    @classmethod
-    def from_powers(cls, powers, m: int, p: int) -> "CorrelatorSpec":
-        powers = tuple(int(a) for a in powers)
+        m, p = self.m, self.p
+        if m < 1 or p < 1:
+            raise ValueError(f"m and p must be positive, got m={m} p={p}")
+        powers = tuple(int(a) for a in self.powers)
         if len(powers) != m:
             raise ValueError(f"expected {m} exponents, got {powers}")
         if any(a < 0 for a in powers):
@@ -381,7 +357,12 @@ class CorrelatorSpec:
             raise DimensionMismatchError(
                 f"sum(l * a_l) = {weight} is not {m * p} + {n}*q for any q >= 0"
             )
-        return cls(powers, m, p, q)
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "q", q)
+
+    @classmethod
+    def from_powers(cls, powers, m: int, p: int) -> "CorrelatorSpec":
+        return cls(powers, m, p)
 
 
 def _elementary_all(qs):

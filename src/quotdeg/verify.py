@@ -207,7 +207,8 @@ def pieri_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResu
 
 
 def chain_oracle_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResult:
-    """Memoized post-order walk agrees with the uncached upward walk (small range)."""
+    """Memoized post-order walk agrees with the uncached upward walk behind
+    enumerate_chains (small range)."""
     out = SuiteResult("chain_oracle")
     if memo is None:
         memo = {}
@@ -249,19 +250,6 @@ def order_agreement_suite(max_n: int) -> SuiteResult:
     return out
 
 
-def _partitions_at_most(total: int, parts: int, bound: int) -> Iterator[tuple[int, ...]]:
-    # weakly decreasing tuples of `parts` entries in [0, bound] summing to total
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, bound), -1, -1):
-        if first * parts < total:
-            break
-        for rest in _partitions_at_most(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def powersum_suite(max_mp: int = 3) -> SuiteResult:
     """Exact determinant identity: 1 on the full rectangle, 0 on every other
     partition of the same weight (each such mu has mu_m < p)."""
@@ -270,7 +258,9 @@ def powersum_suite(max_mp: int = 3) -> SuiteResult:
         for p in range(1, max_mp + 1):
             n = m + p
             rect = (p,) * m
-            for mu in _partitions_at_most(m * p, m, m * p):
+            for mu in itertools.combinations_with_replacement(range(m * p, -1, -1), m):
+                if sum(mu) != m * p:
+                    continue
                 out.cases += 1
                 val = powersum_determinant(mu, m, n)
                 want = 1 if mu == rect else 0

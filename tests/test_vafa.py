@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from quotdeg.chain_degree import degree_chain
 from quotdeg.indices import InvalidIndexError, SchubertSymbol, schubert_to_composite
@@ -16,7 +16,6 @@ from quotdeg.vafa import (
     ToleranceError,
     _det,
     _exponent_det,
-    _zeta_powers,
     lg_roots,
     power_sum,
     powersum_determinant,
@@ -65,11 +64,10 @@ def test_zeta_table_entries_are_the_roots_bit_for_bit():
         for n in (2, 3, 5, 6, 10):
             for precision in (53, 104, 200):
                 sys = lg_roots(m, n, precision)
+                assert len(sys.powers) == 2 * n
                 with workprec(precision):
-                    zeta = _zeta_powers(n)
-                for k, q in enumerate(sys.roots):
-                    if 2 * k + parity < n:
-                        assert zeta[2 * k + parity]._mpc_ == q._mpc_
+                    direct = [mp.expjpi(mpf(2 * k + parity) / n) for k in range(n)]
+                assert [q._mpc_ for q in sys.roots] == [q._mpc_ for q in direct]
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,7 +82,7 @@ def test_exponent_det_matches_leibniz_over_root_powers(data):
     lams = [parts[j] + m - j for j in range(m)]
     sys = lg_roots(m, n, precision=200)
     with workprec(200):
-        got = _exponent_det([2 * k + 1 - m % 2 for k in ks], lams, _zeta_powers(n))
+        got = _exponent_det([2 * k + 1 - m % 2 for k in ks], lams, sys.powers)
         want = _det([[sys.roots[k] ** lam for lam in lams] for k in ks])
         # every Leibniz term has modulus 1, so m! is the scale of the sum
         assert abs(got - want) <= mpf(2) ** -150 * math.factorial(m)
@@ -201,6 +199,8 @@ def test_vi_degree_validation():
         vi_degree((3,), 0, 2, 2)
     with pytest.raises(InvalidIndexError):
         vi_degree((1, 5), 0, 2, 2)  # column above n
+    with pytest.raises(TypeError):
+        vi_degree(SchubertSymbol((3, 4), 1), 0, 2, 2)  # columns only, never a symbol
 
 
 def test_vi_degree_accepts_prebuilt_roots():
@@ -287,6 +287,49 @@ def test_vi_degree_matches_recurrence(sym):
     assert vi_degree(columns, d, m, p).value == _recurrence_degree(columns, d, m, p)
 
 
+@pytest.mark.parametrize(
+    "call,raw,residual,imag",
+    [
+        (
+            lambda: vi_degree((6, 7, 8, 9, 10), 2, 5, 5, precision=104),
+            "(1.2420850714050832e+19+2.3465352771824128e-11j)",
+            "2.5879273345938257e-11",
+            "2.3465352771824128e-11",
+        ),
+        (
+            lambda: vi_degree((3, 4), 1, 2, 2, precision=64),
+            "(8+0j)",
+            "2.168404344971009e-18",
+            "0.0",
+        ),
+        (
+            lambda: vi_correlator(CorrelatorSpec.from_powers((6, 1, 0, 4), 4, 4)),
+            "(9.999999999999996+1.2462115580827273e-15j)",
+            "3.764945913427598e-15",
+            "1.2462115580827273e-15",
+        ),
+        (
+            lambda: vi_correlator(
+                CorrelatorSpec.from_powers((25, 0, 0, 0, 0), 5, 5), precision=80
+            ),
+            "(701149020+9.914119504996282e-15j)",
+            "9.953824715382963e-15",
+            "9.914119504996282e-15",
+        ),
+    ],
+    ids=[
+        "degree-6,7,8,9,10;2@104",
+        "degree-3,4;1@64",
+        "correlator-6,1,0,4@53",
+        "correlator-25,0,0,0,0@80",
+    ],
+)
+def test_verbose_evidence_is_pinned(call, raw, residual, imag):
+    # the unrounded sum --verbose reports, bit for bit; the golden file skips --verbose
+    result = call()
+    assert (repr(result.raw), repr(result.residual), repr(result.imag)) == (raw, residual, imag)
+
+
 def test_correlator_spec_infers_order():
     spec = CorrelatorSpec.from_powers((8, 0), 2, 2)
     assert spec.q == 1
@@ -297,12 +340,14 @@ def test_correlator_spec_infers_order():
 def test_correlator_spec_rejects_mismatch():
     with pytest.raises(DimensionMismatchError):
         CorrelatorSpec.from_powers((3, 0), 2, 2)
-    with pytest.raises(DimensionMismatchError):
-        CorrelatorSpec((8, 0), 2, 2, 2)  # weight pins q = 1, not 2
     with pytest.raises(ValueError):
         CorrelatorSpec.from_powers((1, 2, 3), 2, 2)
     with pytest.raises(ValueError):
         CorrelatorSpec.from_powers((-1, 2), 2, 2)
+    with pytest.raises(ValueError, match="m and p must be positive"):
+        CorrelatorSpec.from_powers((1, 1, 0), 3, -1)  # weight 3 = 3*(-1) + 2*3
+    with pytest.raises(ValueError, match="m and p must be positive"):
+        CorrelatorSpec((), 0, 2)
 
 
 @pytest.mark.parametrize(
