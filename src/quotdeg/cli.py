@@ -37,7 +37,7 @@ from .vafa import (
     vi_correlator,
     vi_degree,
 )
-from .verify import run_verify
+from .verify import duality_rows, run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -280,16 +280,17 @@ def cmd_verify(args) -> int:
         raise InvalidIndexError(f"--max-dim must be nonnegative, got {args.max_dim}")
     report = run_verify(
         max_n=args.max_n, max_dim=args.max_dim, precision=args.precision,
-        tolerance=args.tolerance, inject_fault=args.inject_fault, duality=args.duality,
+        tolerance=args.tolerance, inject_fault=args.inject_fault,
     )
+    duality = duality_rows(args.max_n) if args.duality else []
     status = "pass" if report.ok else "fail"
     doc = {
         "command": "verify",
-        "max_n": str(report.max_n),
-        "max_dim": str(report.max_dim),
-        "precision": str(report.precision),
-        "tolerance": str(report.tolerance),
-        "fault_injected": report.fault_injected,
+        "max_n": str(args.max_n),
+        "max_dim": str(args.max_dim),
+        "precision": str(args.precision),
+        "tolerance": str(args.tolerance),
+        "fault_injected": args.inject_fault,
         "suites": [
             {"name": s.name, "cases": str(s.cases), "failures": list(s.failures)}
             for s in report.suites
@@ -298,15 +299,15 @@ def cmd_verify(args) -> int:
         "total_failures": str(report.total_failures),
         "status": status,
     }
-    if report.duality is not None:
-        doc["duality"] = report.duality
+    if args.duality:
+        doc["duality"] = duality
     rows = [[s.name, str(s.cases), str(len(s.failures))] for s in report.suites]
     width = max(len(s.name) for s in report.suites)
     text = []
     for s in report.suites:
         text.append(f"{s.name.ljust(width)}  cases={s.cases}  failures={len(s.failures)}")
         text.extend(f"  {f}" for f in s.failures)
-    for row in report.duality or ():
+    for row in duality:
         text.append(
             f"duality m={row['m']} p={row['p']} q={row['q']}: {row['deg_mpq']} vs "
             f"{row['deg_pmq']} equal={str(row['equal']).lower()}"

@@ -45,13 +45,10 @@ class SuiteResult:
 
 @dataclass
 class VerifyReport:
-    max_n: int
-    max_dim: int
-    precision: int
-    tolerance: float
-    fault_injected: bool
+    """The suites' results in run order; the bounds and settings that
+    produced them stay with the caller."""
+
     suites: list[SuiteResult]
-    duality: list[dict] | None = None
 
     @property
     def total_cases(self) -> int:
@@ -66,28 +63,6 @@ class VerifyReport:
         return self.total_failures == 0
 
 
-def windowed_indices(n: int, m: int, max_dim: int) -> Iterator[tuple[int, ...]]:
-    """All windowed index tuples of length m mod n with dimension <= max_dim,
-    in lexicographic order."""
-
-    def rec(prefix: tuple[int, ...], dim: int) -> Iterator[tuple[int, ...]]:
-        l = len(prefix)
-        if l == m:
-            yield prefix
-            return
-        lo = prefix[-1] + 1 if prefix else 1
-        hi = prefix[0] + n - 1 - (m - 1 - l) if prefix else max_dim // m + 1
-        for v in range(lo, hi + 1):
-            d = dim + v - (l + 1)
-            # each remaining entry contributes at least v - l - 1
-            rest = (m - l - 1) * (v - l - 1)
-            if d + rest > max_dim:
-                break
-            yield from rec(prefix + (v,), d)
-
-    yield from rec((), 0)
-
-
 def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All (columns, d) naming a subvariety with dimension <= max_dim."""
     n = m + p
@@ -99,11 +74,16 @@ def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...
             yield cols, d
 
 
-def base_case_suite(
-    max_mp: int = 4,
-    precision: int = DEFAULT_PRECISION,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> SuiteResult:
+def windowed_indices(n: int, m: int, max_dim: int) -> list[tuple[int, ...]]:
+    """All windowed index tuples of length m mod n with dimension <= max_dim,
+    in lexicographic order, read off the symbol sweep of valid_symbols."""
+    return sorted(
+        schubert_to_composite(SchubertSymbol(cols, d), n).entries
+        for cols, d in valid_symbols(m, n - m, max_dim)
+    )
+
+
+def base_case_suite(max_mp: int, precision: int, tolerance: float) -> SuiteResult:
     """Bottom index has degree 1 in every space, all three methods."""
     out = SuiteResult("base_case")
     for m in range(1, max_mp + 1):
@@ -150,16 +130,10 @@ def roundtrip_suite(max_n: int, max_dim: int) -> SuiteResult:
 
 
 def cross_method_suite(
-    max_n: int,
-    max_dim: int,
-    precision: int = DEFAULT_PRECISION,
-    tolerance: float = DEFAULT_TOLERANCE,
-    memo: dict | None = None,
+    max_n: int, max_dim: int, precision: int, tolerance: float, memo: dict
 ) -> SuiteResult:
     """chain = recurrence = fixed-point sum on every subvariety in range."""
     out = SuiteResult("cross_method")
-    if memo is None:
-        memo = {}
     for n in range(2, max_n + 1):
         for m in range(1, n):
             p = n - m
@@ -184,11 +158,9 @@ def cross_method_suite(
     return out
 
 
-def pieri_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResult:
+def pieri_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
     """degree(alpha) equals the sum of degrees over its lower covers."""
     out = SuiteResult("pieri")
-    if memo is None:
-        memo = {}
     for n in range(2, max_n + 1):
         for m in range(1, n):
             bottom = bottom_index(m, n)
@@ -206,12 +178,10 @@ def pieri_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResu
     return out
 
 
-def chain_oracle_suite(max_n: int, max_dim: int, memo: dict | None = None) -> SuiteResult:
+def chain_oracle_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
     """Memoized post-order walk agrees with the uncached upward walk behind
     enumerate_chains (small range)."""
     out = SuiteResult("chain_oracle")
-    if memo is None:
-        memo = {}
     for n in range(2, min(max_n, 5) + 1):
         for m in range(1, n):
             for entries in windowed_indices(n, m, min(max_dim, 8)):
@@ -250,7 +220,7 @@ def order_agreement_suite(max_n: int) -> SuiteResult:
     return out
 
 
-def powersum_suite(max_mp: int = 3) -> SuiteResult:
+def powersum_suite(max_mp: int) -> SuiteResult:
     """Exact determinant identity: 1 on the full rectangle, 0 on every other
     partition of the same weight (each such mu has mu_m < p)."""
     out = SuiteResult("powersum_identity")
@@ -269,14 +239,13 @@ def powersum_suite(max_mp: int = 3) -> SuiteResult:
     return out
 
 
-def cover_soundness_suite(max_n: int, max_dim: int = 6) -> SuiteResult:
-    """covers() matches the order-theoretic definition on small lower sets."""
+def cover_soundness_suite(max_n: int) -> SuiteResult:
+    """covers() matches the order-theoretic definition on every windowed
+    index with n <= 5 and dimension <= 6."""
     out = SuiteResult("cover_soundness")
     for n in range(2, min(max_n, 5) + 1):
         for m in range(1, n):
-            pool = [
-                CompositeIndex(entries, n) for entries in windowed_indices(n, m, max_dim)
-            ]
+            pool = [CompositeIndex(entries, n) for entries in windowed_indices(n, m, 6)]
             for a in pool:
                 below = [b for b in pool if b != a and leq_componentwise(b.entries, a.entries)]
                 for b in below:
@@ -328,15 +297,23 @@ def run_verify(
     precision: int = DEFAULT_PRECISION,
     tolerance: float = DEFAULT_TOLERANCE,
     inject_fault: bool = False,
-    duality: bool = False,
 ) -> VerifyReport:
-    """Run every suite; with inject_fault, poison one chain memo entry so a
-    healthy detector must report at least one failure."""
+    """Run every suite up to period max_n and dimension max_dim (some suites
+    cap both lower) and return the suites' results only.
+
+    Raises ValueError, before any suite runs, when max_n < 2 or max_dim < 0.
+    With inject_fault, one chain memo entry is poisoned so a healthy
+    detector must report at least one failure.
+    """
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     memo: dict = {}
     if inject_fault:
         # the smallest nontrivial index: its true chain count is 1
         memo[((2,), 2)] = 2
-    suites = [
+    return VerifyReport([
         base_case_suite(min(max_n - 1, 4), precision, tolerance),
         roundtrip_suite(max_n, max_dim),
         cross_method_suite(max_n, max_dim, precision, tolerance, memo),
@@ -345,13 +322,4 @@ def run_verify(
         cover_soundness_suite(max_n),
         order_agreement_suite(max_n),
         powersum_suite(min(max_n - 2, 3) if max_n >= 3 else 1),
-    ]
-    return VerifyReport(
-        max_n=max_n,
-        max_dim=max_dim,
-        precision=precision,
-        tolerance=tolerance,
-        fault_injected=inject_fault,
-        suites=suites,
-        duality=duality_rows(max_n) if duality else None,
-    )
+    ])

@@ -1,3 +1,7 @@
+import itertools
+
+import pytest
+
 from quotdeg.indices import dimension, validate_index
 from quotdeg.verify import (
     duality_rows,
@@ -16,16 +20,18 @@ def test_windowed_indices_enumeration():
 
 
 def test_windowed_indices_is_exhaustive():
-    # everything the generator skips really is out of bounds
-    n, m, cap = 5, 2, 6
-    got = set(windowed_indices(n, m, cap))
-    for a in range(1, 20):
-        for b in range(a + 1, a + n):
-            try:
-                alpha = validate_index((a, b), n)
-            except ValueError:
-                continue
-            assert ((a, b) in got) == (dimension(alpha) <= cap)
+    # exactly the increasing tuples with span < n and dimension <= D, in
+    # lexicographic order; an entry above D + m alone would exceed D
+    for n in range(2, 7):
+        for m in range(1, n):
+            for cap in range(13):
+                want = sorted(
+                    entries
+                    for entries in itertools.combinations(range(1, cap + m + 1), m)
+                    if entries[-1] - entries[0] < n
+                    and dimension(validate_index(entries, n)) <= cap
+                )
+                assert list(windowed_indices(n, m, cap)) == want, (n, m, cap)
 
 
 def test_valid_symbols_respects_bounds():
@@ -54,12 +60,20 @@ def test_run_verify_passes_at_small_bounds():
 
 def test_run_verify_detects_injected_fault():
     report = run_verify(max_n=4, max_dim=8, inject_fault=True)
-    assert report.fault_injected
     assert not report.ok
     assert report.total_failures > 0
     # the healthy run and the poisoned run see the same case count
     clean = run_verify(max_n=4, max_dim=8)
     assert clean.total_cases == report.total_cases
+
+
+def test_run_verify_checks_its_bounds():
+    # a period below 2 or a negative dimension names no case; refuse
+    # rather than report a vacuous pass
+    with pytest.raises(ValueError, match="max_n must be at least 2, got 1"):
+        run_verify(max_n=1, max_dim=-3)
+    with pytest.raises(ValueError, match="max_dim must be nonnegative, got -1"):
+        run_verify(max_n=4, max_dim=-1)
 
 
 def test_duality_rows_report_both_orientations():
