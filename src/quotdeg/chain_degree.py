@@ -17,10 +17,11 @@ increasing positive entries force alpha_l >= l, so there is no reachable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
-from .indices import CompositeIndex, _decrement_tuples, _require_window, dimension
+from .indices import CompositeIndex, _decrement_tuples, _OwnTypeEquality, _require_window
+from .indices import dimension
 
 Chain = tuple[CompositeIndex, ...]
 
@@ -63,13 +64,11 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     return memo[key]
 
 
-@dataclass(frozen=True)
-class ChainEnumeration:
-    """Chains listed up to a cap, plus the exact total regardless of the cap."""
+class ChainEnumeration(_OwnTypeEquality, namedtuple("ChainEnumeration", "chains total capped")):
+    """Chains listed up to a cap, plus the exact total regardless of the cap
+    (an immutable named tuple)."""
 
-    chains: tuple[Chain, ...]
-    total: int
-    capped: bool
+    __slots__ = ()
 
 
 def _upward_steps(
@@ -116,17 +115,22 @@ def enumerate_chains(alpha: CompositeIndex, cap: int = DEFAULT_CHAIN_CAP) -> Cha
     """List the saturated chains below alpha in lexicographic order.
 
     At most `cap` chains are materialized; `total` is always the exact
-    count and `capped` flags a truncated listing.
+    count and `capped` flags a truncated listing.  Chains share their
+    steps: each distinct entry tuple becomes one CompositeIndex.
     """
     _require_window(alpha)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     total = degree_chain(alpha)
     chains = []
+    steps: dict[tuple[int, ...], CompositeIndex] = {}
     for tup in _iter_chain_tuples(alpha.entries, alpha.n):
         if len(chains) >= cap:
             break
-        chains.append(tuple(CompositeIndex(t, alpha.n) for t in tup))
+        for t in tup:
+            if t not in steps:
+                steps[t] = CompositeIndex(t, alpha.n)
+        chains.append(tuple(map(steps.__getitem__, tup)))
     return ChainEnumeration(tuple(chains), total, total > len(chains))
 
 

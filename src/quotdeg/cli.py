@@ -98,6 +98,15 @@ def _fmt_ms(seconds: float) -> str:
     return format(seconds * 1000.0, ".3f")
 
 
+def _alpha_symbol(alpha) -> SchubertSymbol:
+    """Factor an --alpha index, refusing one outside the window or one that
+    leaves no room for p (m = n)."""
+    symbol = composite_to_schubert(alpha)
+    if alpha.m >= alpha.n:
+        raise InvalidIndexError(f"index length {alpha.m} needs period at least {alpha.m + 1}")
+    return symbol
+
+
 def _degree_request(args):
     """(m, p, n, symbol, alpha, q echo) from exactly one request form:
     --n/--alpha, --m/--p/--i with an optional --d, or --m/--p/--q."""
@@ -107,10 +116,8 @@ def _degree_request(args):
         if given != {"n", "alpha"}:
             raise InvalidIndexError("--alpha goes with --n and nothing else")
         alpha = validate_index(args.alpha, args.n)
-        symbol = composite_to_schubert(alpha)
+        symbol = _alpha_symbol(alpha)
         m, n, q_echo = alpha.m, alpha.n, None
-        if n - m < 1:
-            raise InvalidIndexError(f"index length {m} needs period at least {m + 1}")
         p = n - m
     else:
         form = "i" if args.i is not None else "q" if args.q is not None else None
@@ -257,6 +264,7 @@ def cmd_chains(args) -> int:
     alpha = validate_index(args.alpha, args.n)
     if args.cap < 1:
         raise InvalidIndexError(f"--cap must be positive, got {args.cap}")
+    _alpha_symbol(alpha)
     enum = enumerate_chains(alpha, cap=args.cap)
     chain_strings = [[str(step) for step in chain] for chain in enum.chains]
     joined = [" -> ".join(chain) for chain in chain_strings]

@@ -11,38 +11,50 @@ fixed-point formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 
 class InvalidIndexError(ValueError):
     """A tuple violates the index invariants, or two indices live mod different n."""
 
 
-@dataclass(frozen=True)
-class CompositeIndex:
-    """Strictly increasing tuple of positive ints, pairwise distinct mod n."""
+class _OwnTypeEquality:
+    """Mixin for the named-tuple value types: equal only to an instance of the
+    same type, never to a plain tuple or another type with the same fields."""
 
-    entries: tuple[int, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(a) for a in self.entries))
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 2:
-            raise InvalidIndexError(f"period must be at least 2, got {self.n}")
-        if not self.entries:
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+
+class CompositeIndex(_OwnTypeEquality, namedtuple("CompositeIndex", "entries n")):
+    """Strictly increasing tuple of positive ints, pairwise distinct mod n
+    (an immutable named tuple, validated on construction)."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries, n):
+        entries = tuple(int(a) for a in entries)
+        n = int(n)
+        if n < 2:
+            raise InvalidIndexError(f"period must be at least 2, got {n}")
+        if not entries:
             raise InvalidIndexError("index needs at least one entry")
-        if self.entries[0] < 1:
-            raise InvalidIndexError(f"entries must be positive: {self.entries}")
-        for a, b in zip(self.entries, self.entries[1:]):
+        if entries[0] < 1:
+            raise InvalidIndexError(f"entries must be positive: {entries}")
+        for a, b in zip(entries, entries[1:]):
             if b <= a:
-                raise InvalidIndexError(f"entries must strictly increase: {self.entries}")
-        residues = {a % self.n for a in self.entries}
-        if len(residues) != len(self.entries):
-            raise InvalidIndexError(
-                f"entries of {self.entries} repeat a residue mod {self.n}"
-            )
+                raise InvalidIndexError(f"entries must strictly increase: {entries}")
+        if len({a % n for a in entries}) != len(entries):
+            raise InvalidIndexError(f"entries of {entries} repeat a residue mod {n}")
+        return super().__new__(cls, entries, n)
 
     @property
     def m(self) -> int:
@@ -61,25 +73,25 @@ class CompositeIndex:
         return ",".join(str(a) for a in self.entries)
 
 
-@dataclass(frozen=True)
-class SchubertSymbol:
-    """Column set plus period shift naming a subvariety Z."""
+class SchubertSymbol(_OwnTypeEquality, namedtuple("SchubertSymbol", "columns offset")):
+    """Column set plus period shift naming a subvariety Z (an immutable
+    named tuple, validated on construction)."""
 
-    columns: tuple[int, ...]
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
-        object.__setattr__(self, "offset", int(self.offset))
-        if not self.columns:
+    def __new__(cls, columns, offset=0):
+        columns = tuple(int(c) for c in columns)
+        offset = int(offset)
+        if not columns:
             raise InvalidIndexError("column set needs at least one entry")
-        if self.columns[0] < 1:
-            raise InvalidIndexError(f"columns must be positive: {self.columns}")
-        for a, b in zip(self.columns, self.columns[1:]):
+        if columns[0] < 1:
+            raise InvalidIndexError(f"columns must be positive: {columns}")
+        for a, b in zip(columns, columns[1:]):
             if b <= a:
-                raise InvalidIndexError(f"columns must strictly increase: {self.columns}")
-        if self.offset < 0:
-            raise InvalidIndexError(f"period shift must be nonnegative, got {self.offset}")
+                raise InvalidIndexError(f"columns must strictly increase: {columns}")
+        if offset < 0:
+            raise InvalidIndexError(f"period shift must be nonnegative, got {offset}")
+        return super().__new__(cls, columns, offset)
 
     @property
     def m(self) -> int:

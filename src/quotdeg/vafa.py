@@ -29,10 +29,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import getitem
 
-from .indices import InvalidIndexError, SchubertSymbol, symbol_dimension
+from .indices import InvalidIndexError, SchubertSymbol, _OwnTypeEquality, symbol_dimension
 
 DEFAULT_PRECISION = 53
 DEFAULT_TOLERANCE = 1e-6
@@ -46,37 +46,31 @@ class DimensionMismatchError(ValueError):
     """Requested exponents match no admissible total dimension."""
 
 
-@dataclass(frozen=True)
-class NumericResult:
+class NumericResult(
+    _OwnTypeEquality,
+    namedtuple("NumericResult", "value raw residual imag precision tolerance"),
+):
     """An integer read off a floating-point sum, with its evidence.
 
     `raw` is the unrounded complex value (downcast to double for
     reporting), `residual` the modulus of raw minus the integer, `imag`
     the size of the imaginary part.  Instances exist only for sums that
-    passed the checks; failures raise ToleranceError instead.
+    passed the checks; failures raise ToleranceError instead.  An
+    immutable named tuple.
     """
 
-    value: int
-    raw: complex
-    residual: float
-    imag: float
-    precision: int
-    tolerance: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LGRootSystem:
+class LGRootSystem(_OwnTypeEquality, namedtuple("LGRootSystem", "m n precision powers")):
     """The n roots of z^n + (-1)^m = 0 at a fixed working precision.
 
     `powers` is zeta^r for r in range(2n), zeta = e^(i pi/n).  Root k is
     zeta^(2k) for odd m and zeta^(2k+1) for even m, so `roots` is every
-    other entry of that one table.
+    other entry of that one table.  An immutable named tuple.
     """
 
-    m: int
-    n: int
-    precision: int
-    powers: tuple
+    __slots__ = ()
 
     @property
     def roots(self) -> tuple:
@@ -101,11 +95,9 @@ def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem
 
 def vandermonde(values) -> complex:
     """Product of pairwise differences v_j - v_k over j < k; 1 for a single value."""
-    vals = tuple(values)
     prod = 1
-    for j in range(len(vals)):
-        for k in range(j + 1, len(vals)):
-            prod = prod * (vals[j] - vals[k])
+    for a, b in itertools.combinations(tuple(values), 2):
+        prod = prod * (a - b)
     return prod
 
 
@@ -123,13 +115,8 @@ def _signed_permutations(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 def _det(rows):
     # Leibniz expansion; exact on ints, fine for the small m used here
-    total = 0
-    for sign, perm in _signed_permutations(len(rows)):
-        term = rows[0][perm[0]]
-        for i in range(1, len(rows)):
-            term = term * rows[i][perm[i]]
-        total = total - term if sign < 0 else total + term
-    return total
+    perms = _signed_permutations(len(rows))
+    return sum(sign * math.prod(map(getitem, rows, perm)) for sign, perm in perms)
 
 
 def _exponent_det(exponents, lams, powers: tuple):
@@ -243,14 +230,7 @@ def _finalize(
             f"sum {complex(total)} is not within {tolerance} of an integer "
             f"(residual {residual}, imaginary part {imag})"
         )
-    return NumericResult(
-        value=rounded,
-        raw=complex(total),
-        residual=residual,
-        imag=imag,
-        precision=precision,
-        tolerance=tolerance,
-    )
+    return NumericResult(rounded, complex(total), residual, imag, precision, tolerance)
 
 
 def _kahan_sum(terms):
@@ -285,11 +265,8 @@ def _degree_term(exponents, lams, exponent: int, powers: tuple):
     powers; degenerate subsets contribute 0 through the Delta factor.
     """
     qs = [powers[e] for e in exponents]
-    delta = vandermonde(qs)
-    s = qs[0]
-    for q in qs[1:]:
-        s = s + q
-    return delta * _exponent_det(exponents, lams, powers) * s**exponent
+    s = sum(qs[1:], qs[0])
+    return vandermonde(qs) * _exponent_det(exponents, lams, powers) * s**exponent
 
 
 def vi_degree(
@@ -327,25 +304,20 @@ def vi_degree(
         return _finalize(*_kahan_sum(terms), m, n, sys.precision, tolerance)
 
 
-@dataclass(frozen=True)
-class CorrelatorSpec:
+class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p q")):
     """Exponents a_1..a_m of the generator classes, with the order q they pin.
 
-    q is inferred from the powers: the weighted total sum(l * a_l) must
-    equal m*p + n*q for a nonnegative integer q, or construction raises
-    DimensionMismatchError.
+    q is inferred from the powers, never passed: the weighted total
+    sum(l * a_l) must equal m*p + n*q for a nonnegative integer q, or
+    construction raises DimensionMismatchError.  An immutable named tuple.
     """
 
-    powers: tuple[int, ...]
-    m: int
-    p: int
-    q: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m, p = self.m, self.p
+    def __new__(cls, powers, m, p):
         if m < 1 or p < 1:
             raise ValueError(f"m and p must be positive, got m={m} p={p}")
-        powers = tuple(int(a) for a in self.powers)
+        powers = tuple(int(a) for a in powers)
         if len(powers) != m:
             raise ValueError(f"expected {m} exponents, got {powers}")
         if any(a < 0 for a in powers):
@@ -357,8 +329,11 @@ class CorrelatorSpec:
             raise DimensionMismatchError(
                 f"sum(l * a_l) = {weight} is not {m * p} + {n}*q for any q >= 0"
             )
-        object.__setattr__(self, "powers", powers)
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, powers, m, p, q)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which infers q itself
+        return self.powers, self.m, self.p
 
     @classmethod
     def from_powers(cls, powers, m: int, p: int) -> "CorrelatorSpec":

@@ -8,13 +8,14 @@ ordering so the CLI can emit byte-identical reports for identical inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .chain_degree import degree_bruteforce, degree_chain
 from .indices import (
     CompositeIndex,
     SchubertSymbol,
+    _OwnTypeEquality,
     bottom_index,
     composite_to_schubert,
     covers,
@@ -36,19 +37,26 @@ from .vafa import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One suite's case count and failure messages, filled in as it runs
+    (a plain mutable class)."""
+
+    def __init__(self, name: str, cases: int = 0, failures: list[str] | None = None) -> None:
+        self.name, self.cases = name, cases
+        self.failures = [] if failures is None else failures
+
+    def __repr__(self) -> str:
+        return f"SuiteResult(name={self.name!r}, cases={self.cases!r}, failures={self.failures!r})"
+
+    def __eq__(self, other):
+        return type(other) is SuiteResult and vars(self) == vars(other)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_OwnTypeEquality, namedtuple("VerifyReport", "suites")):
     """The suites' results in run order; the bounds and settings that
-    produced them stay with the caller."""
+    produced them stay with the caller.  An immutable named tuple."""
 
-    suites: list[SuiteResult]
+    __slots__ = ()
 
     @property
     def total_cases(self) -> int:
@@ -276,18 +284,9 @@ def duality_rows(max_n: int, max_q: int = 2) -> list[dict]:
         for m in range(1, n // 2 + 1):
             p = n - m
             for q in range(max_q + 1):
-                a = quot_degree(m, p, q)
-                b = quot_degree(p, m, q)
-                rows.append(
-                    {
-                        "m": str(m),
-                        "p": str(p),
-                        "q": str(q),
-                        "deg_mpq": str(a),
-                        "deg_pmq": str(b),
-                        "equal": a == b,
-                    }
-                )
+                a, b = quot_degree(m, p, q), quot_degree(p, m, q)
+                rows.append({"m": str(m), "p": str(p), "q": str(q),
+                             "deg_mpq": str(a), "deg_pmq": str(b), "equal": a == b})
     return rows
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +166,18 @@ def test_enumerate_chains_bottom():
     enum = enumerate_chains(bottom_index(2, 4))
     assert enum.total == 1
     assert [[c.entries for c in ch] for ch in enum.chains] == [[(1, 2)]]
+
+
+def test_listing_builds_each_distinct_step_once():
+    enum = enumerate_chains(validate_index((5, 9, 10), 6), cap=1000)
+    # the same listing as when every step was built afresh
+    assert hashlib.sha256(repr(enum.chains).encode()).hexdigest() == (
+        "83345b88ee8a117d7eef1487d7ea54f00c4d1e07129f7ce0a5e9af2a9d2fe902"
+    )
+    assert (len(enum.chains), enum.total, enum.capped) == (1000, 21845, True)
+    steps = [step for chain in enum.chains for step in chain]
+    assert len(steps) == 19000
+    assert len({id(step) for step in steps}) == len(set(steps)) == 40
 
 
 @settings(max_examples=60, deadline=None)

@@ -305,6 +305,14 @@ def test_chains_csv_has_trailing_count_row(capsys):
     assert rows[-1] == ["count", "2"]
 
 
+@pytest.mark.parametrize("alpha", ["2,3,4,5", "1,2,3,4"])
+def test_chains_refuses_an_index_with_no_room_for_p(capsys, alpha):
+    # m = n leaves p = 0: refused with degree's message, not listed
+    want = "quotdeg: error: index length 4 needs period at least 5\n"
+    assert run_cli(capsys, "chains", "--n", "4", "--alpha", alpha) == (1, "", want)
+    assert run_cli(capsys, "degree", "--n", "4", "--alpha", alpha) == (1, "", want)
+
+
 def test_verify_passes(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--max-n", "4", "--max-dim", "8"
@@ -384,3 +392,28 @@ def test_integer_commands_never_load_the_float_stack():
     *integer, vi = json.loads(proc.stdout)
     assert integer == [[], [], [], []]
     assert "mpmath" in vi
+
+
+LEAN_IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from quotdeg.cli import main
+
+for argv in ("degree --m 3 --p 3 --q 4 --method chain",
+             "degree --m 3 --p 3 --q 4 --method recurrence",
+             "table --m 2 --p 2 --max-q 3",
+             "chains --n 4 --alpha 4,7"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+print(json.dumps(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))))
+"""
+
+
+def test_integer_commands_never_load_the_introspection_stack():
+    # -S: no site hooks, so every module loaded is one the program asked for
+    src = str(Path(quotdeg.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LEAN_IMPORT_PROBE, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -1,0 +1,90 @@
+"""The contract every value type keeps: fields, keyword construction, repr
+text, immutability, and equality only within its own type."""
+
+import copy
+import pickle
+
+import pytest
+
+from quotdeg import (
+    ChainEnumeration,
+    CompositeIndex,
+    CorrelatorSpec,
+    LGRootSystem,
+    NumericResult,
+    SchubertSymbol,
+    VerifyReport,
+)
+from quotdeg.verify import SuiteResult
+
+INDEX = CompositeIndex(entries=(1, 2), n=5)
+
+# (type, keyword arguments, repr text) for one instance of each value type
+CASES = [
+    (CompositeIndex, {"entries": (1, 2), "n": 5}, "CompositeIndex(entries=(1, 2), n=5)"),
+    (SchubertSymbol, {"columns": (3, 4), "offset": 1}, "SchubertSymbol(columns=(3, 4), offset=1)"),
+    (
+        ChainEnumeration,
+        {"chains": ((INDEX,),), "total": 1, "capped": False},
+        "ChainEnumeration(chains=((CompositeIndex(entries=(1, 2), n=5),),), total=1, "
+        "capped=False)",
+    ),
+    (
+        NumericResult,
+        {"value": 8, "raw": 8 + 0j, "residual": 0.0, "imag": 0.0, "precision": 53,
+         "tolerance": 1e-06},
+        "NumericResult(value=8, raw=(8+0j), residual=0.0, imag=0.0, precision=53, "
+        "tolerance=1e-06)",
+    ),
+    (
+        LGRootSystem,
+        {"m": 1, "n": 2, "precision": 53, "powers": (1, 1j, -1, -1j)},
+        "LGRootSystem(m=1, n=2, precision=53, powers=(1, 1j, -1, (-0-1j)))",
+    ),
+    (CorrelatorSpec, {"powers": (8, 0), "m": 2, "p": 2}, "CorrelatorSpec(powers=(8, 0), m=2, p=2, q=1)"),
+    (
+        VerifyReport,
+        {"suites": [SuiteResult("pieri", 3, ["x"])]},
+        "VerifyReport(suites=[SuiteResult(name='pieri', cases=3, failures=['x'])])",
+    ),
+    (SuiteResult, {"name": "pieri", "cases": 3, "failures": ["x"]},
+     "SuiteResult(name='pieri', cases=3, failures=['x'])"),
+]
+FROZEN = {CompositeIndex, SchubertSymbol, ChainEnumeration, NumericResult, LGRootSystem,
+          CorrelatorSpec}
+
+
+def test_value_type_contract():
+    assert {cls for cls, _, _ in CASES} == FROZEN | {VerifyReport, SuiteResult}
+    for cls, kwargs, text in CASES:
+        value = cls(**kwargs)
+        assert repr(value) == text
+        for name, field in kwargs.items():
+            assert getattr(value, name) == field
+        twin = cls(**kwargs)
+        assert value == twin and not value != twin
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+        if cls in FROZEN:
+            assert hash(value) == hash(twin)
+            first = next(iter(kwargs))
+            with pytest.raises(AttributeError):
+                setattr(value, first, kwargs[first])
+
+    # int coercion on construction, as before
+    assert CompositeIndex(["1", 2.0], "5") == INDEX
+    assert SchubertSymbol([True, 2]).columns == (1, 2)
+    # equal only within a type: not to a plain tuple, not to another type
+    assert INDEX != ((1, 2), 5) and not INDEX == ((1, 2), 5)
+    assert ((1, 2), 5) != INDEX
+    assert INDEX != SchubertSymbol((1, 2), 5) and SchubertSymbol((1, 2), 5) != INDEX
+    assert INDEX != CompositeIndex((1, 3), 5)
+    assert len({INDEX, CompositeIndex((1, 2), 5), SchubertSymbol((1, 2), 5)}) == 2
+    # q is inferred, never passed
+    with pytest.raises(TypeError):
+        CorrelatorSpec((8, 0), 2, 2, q=1)
+    # the one mutable holder: suites count into it as they run
+    suite = SuiteResult("pieri")
+    suite.cases += 2
+    suite.failures.append("x")
+    assert (suite.cases, suite.failures) == (2, ["x"])
+    assert SuiteResult("a") != SuiteResult("b") and SuiteResult("a").failures == []
