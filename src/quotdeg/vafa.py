@@ -6,14 +6,28 @@ z^n + (-1)^m = 0, with each subset contributing a symmetric function of
 its roots.  Everything here is evaluated in configurable-precision
 complex arithmetic (mpmath, precision in bits, default 53 = double) with
 a deterministic reduction order, then snapped to a nearby integer only
-when the residual and imaginary part clear the tolerance and the
-last-place noise the sum can carry stays below it.
+when the residual and imaginary part clear the tolerance and a bound on
+the sum's rounding error stays below it.
 
 A root system is one table of zeta^0..zeta^(2n-1), zeta = e^(i pi/n); the
 roots are every other entry.  The degree sum indexes each subset by its
 roots' exponents, so the Schur determinant is built from integers: each
 Leibniz term is one exponent sum mod 2n, and the determinant is an
 integer combination of zeta^0..zeta^(n-1) read off by a single dot product.
+
+Rotating the roots by zeta^2 = e^(2 pi i/n) permutes the subsets and fixes
+every summand, since each summand's total degree in the roots is a
+multiple of n.  So each sum takes one term per rotation orbit, the orbit's
+least member, times the orbit's size: 26 terms for the 252 subsets at
+m = p = 5.
+
+The rounding bound follows each term's own error.  A term is a product
+of powers of computed factors (root differences, the determinant, the root
+sum, the elementary symmetric functions); each factor's error is bounded
+from the measured error of the zeta table, and the term's error is
+prod (|x~| + delta)^a (1 + 2^-precision)^k - prod |x~|^a for k roundings.
+The bounds, times the orbit sizes, plus the compensated loop's own
+roundings, bound the distance of the sum from the exact integer.
 
 The power-sum determinant at the bottom of the formulas is computed
 exactly over the integers, giving an arithmetic-free consistency anchor
@@ -36,6 +50,10 @@ from .indices import InvalidIndexError, SchubertSymbol, _OwnTypeEquality, symbol
 
 DEFAULT_PRECISION = 53
 DEFAULT_TOLERANCE = 1e-6
+
+# Error bounds are evaluated at 53 bits and widened by this factor, which
+# covers their own roundings.
+_BOUND_SLACK = 1 + 2**-40
 
 
 class ToleranceError(ArithmeticError):
@@ -119,23 +137,19 @@ def _det(rows):
     return sum(sign * math.prod(map(getitem, rows, perm)) for sign, perm in perms)
 
 
-def _exponent_det(exponents, lams, powers: tuple):
-    """det[zeta^(e_i * lam_j)] for root exponents e_i and column powers lam_j.
+def _det_coefficients(exponents, lams, n: int) -> list[int]:
+    """Integers c_0..c_(n-1) with det[zeta^(e_i * lam_j)] = sum_r c_r zeta^r.
 
     Each Leibniz term is the single power zeta^(sum_i e_i lam_perm(i)), so
     the determinant is an integer vector over zeta^0..zeta^(2n-1), folded
-    onto the first n entries of `powers` by zeta^(r+n) = -zeta^r and
-    evaluated with one dot product.
+    onto the first n powers by zeta^(r+n) = -zeta^r.
     """
-    from mpmath import mp
-
-    two_n = len(powers)
-    n = two_n // 2
+    two_n = 2 * n
     rows = [[e * lam % two_n for lam in lams] for e in exponents]
     coeffs = [0] * two_n
     for sign, perm in _signed_permutations(len(rows)):
         coeffs[sum(map(getitem, rows, perm)) % two_n] += sign
-    return mp.fdot((coeffs[r] - coeffs[r + n], powers[r]) for r in range(n))
+    return [coeffs[r] - coeffs[r + n] for r in range(n)]
 
 
 def _parts(mu, m: int) -> tuple[int, ...]:
@@ -195,36 +209,33 @@ def check_tolerance(tolerance: float) -> float:
 
 
 def _finalize(
-    subset_sum, largest, m: int, n: int, precision: int, tolerance: float
+    subset_sum, bound, m: int, n: int, precision: int, tolerance: float
 ) -> NumericResult:
     """Scale a subset sum by (-1)^(m(m-1)/2) / n^m and round it, or raise
     ToleranceError when the rounding is not certified.
 
-    `largest` is the largest |term| of the sum.  Each term carries an error
-    of a few units in its last place, so max|term| * #terms * 2^(1-precision)
-    / n^m bounds the noise in the result; above the tolerance, a residual
-    that looks small certifies nothing.
+    `bound` bounds the distance of `subset_sum` from the exact sum.  Divided
+    by n^m and widened by the scaling's own rounding it bounds the distance
+    of the result from the integer the exact sum equals, so a noise bound
+    below the tolerance (and so below 1/2) pins that integer; above it, a
+    residual that looks small certifies nothing.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp, mpf, workprec
 
-    scale = mpf(n) ** m
-    total = subset_sum * (-1) ** (m * (m - 1) // 2) / scale
-    re, im = total.real, total.imag
-    rounded = int(mp.nint(re))
-    if abs(rounded) >= 2 ** (precision - 1):
-        raise ToleranceError(
-            f"|{rounded}| is too large to round safely at {precision} bits; "
-            "raise the precision"
-        )
-    noise = mp.ldexp(largest * math.comb(n, m), 1 - precision) / scale
+    with workprec(precision):
+        total = subset_sum * (-1) ** (m * (m - 1) // 2) / mpf(n) ** m
+        rounded = int(mp.nint(total.real))
+        residual = float(abs(total - rounded))
+    with workprec(53):
+        # the division and the rounding of n^m move total by < 2u|total|, so
+        # a value of 2^(precision - 1) or more never passes
+        noise = (bound / n**m + mpf(2) ** (2 - precision) * abs(total)) * _BOUND_SLACK
     if noise > tolerance:
         raise ToleranceError(
-            f"noise bound max|term| * #terms * 2^(1-{precision}) / n^m = "
-            f"{mp.nstr(noise, 3)} exceeds the tolerance {tolerance}; "
+            f"noise bound {mp.nstr(noise, 3)} exceeds the tolerance {tolerance}; "
             "raise the precision"
         )
-    residual = float(abs(total - rounded))
-    imag = float(abs(im))
+    imag = float(abs(total.imag))
     if residual > tolerance or imag > tolerance:
         raise ToleranceError(
             f"sum {complex(total)} is not within {tolerance} of an integer "
@@ -233,20 +244,120 @@ def _finalize(
     return NumericResult(rounded, complex(total), residual, imag, precision, tolerance)
 
 
-def _kahan_sum(terms):
-    """Compensated sum of the terms, and the largest |term|."""
-    from mpmath import mpc, mpf
+def _product_error(value, factors, roundings: int, precision: int):
+    """Bound |prod x_f^a_f - value| for a product `value` computed from
+    inexact factors with `roundings` rounded operations.
 
-    total = mpc(0)
-    comp = mpc(0)
-    largest = mpf(0)
-    for t in terms:
-        largest = max(largest, abs(t))
-        y = t - comp
+    Each factor is (x~, d, a): the computed factor, a bound d on |x~ - x| in
+    units of u = 2^(1 - precision), and its power a.  A rounding moves a
+    result by at most u/2 times its modulus (round to nearest, part by
+    part), and a power x^a counts as a roundings, so the error is at most
+    prod (|x~| + d u)^a * (1 + u/2)^k - prod |x~|^a.  When no factor is zero
+    that is at most |value| expm1(L), L = u (sum a d / |x~| + 1.05 k), where
+    1.05 k also covers |value| >= prod |x~|^a (1 - u/2)^k; so each factor
+    keeps its own relative error, and L <= 1 gives expm1(L) <= L(1 + L).
+    Otherwise the first product alone is the bound.
+    """
+    from mpmath import mp, workprec
+
+    factors = [(x, d, a) for x, d, a in factors if a]
+    mags = [abs(complex(x)) for x, _, _ in factors]
+    if min(mags, default=1) > 1e-300:  # normal floats, so each is within 2^-52
+        relative = sum(a * d / mag for mag, (_, d, a) in zip(mags, factors)) * (1 + 2**-50)
+        with workprec(53):
+            lam = mp.ldexp(relative + 1.05 * roundings, 1 - precision)
+            if lam <= 1:
+                return abs(value) * lam * (1 + lam) * _BOUND_SLACK
+    with workprec(53):
+        u = mp.ldexp(1, 1 - precision)
+        bound = mp.exp(roundings * u / 2)
+        for x, d, a in factors:
+            bound *= (abs(x) * (1 + 2**-50) + d * u) ** a
+        return bound * _BOUND_SLACK
+
+
+def _orbit_sum(weighted, precision: int):
+    """Compensated sum of size * term over (size, term, error) triples, and a
+    bound on its distance from the sum of size * (exact term).
+
+    With y, a and comp each step's corrected input, rounded increment and
+    new compensation, total - comp stays the sum of the inputs up to the
+    roundings of y, a and comp, so the loop's own error is at most
+    |comp| + (u/2) / (1 - u/2) * sum(|size * term| + |y| + |a| + |comp|),
+    u = 2^(1 - precision).
+    """
+    from mpmath import fsum, mpc, mpf, workprec
+
+    total = comp = mpc(0)
+    errors, moduli = [], []
+    for size, term, error in weighted:
+        w = size * term
+        y = w - comp
         tmp = total + y
-        comp = (tmp - total) - y
+        a = tmp - total
+        comp = a - y
         total = tmp
-    return total, largest
+        errors.append((size, error))
+        moduli += (abs(w), abs(y), abs(a), abs(comp))
+    with workprec(53):
+        u = mpf(2) ** (1 - precision)
+        # the moduli were rounded at the working precision, hence 1 + u
+        rounding = (abs(comp) + 0.54 * u * fsum(moduli)) * (1 + u)
+        bound = (fsum(size * error for size, error in errors) + rounding) * _BOUND_SLACK
+    return total, bound
+
+
+def _rotation_orbits(n: int, m: int):
+    """(representative, size) for each orbit of the rotation k -> k + 1
+    (mod n) on the m-subsets of range(n).
+
+    The representative is the orbit's least rotation as a sorted tuple, so
+    it holds 0, and only the rotations that carry one of its members to 0
+    can tie with it.  The ties are its stabiliser, so the orbit has
+    n / #ties members.
+    """
+    for rest in itertools.combinations(range(1, n), m - 1):
+        rep = (0, *rest)
+        ties = 0
+        for shift in rep:
+            rotated = tuple(sorted((k - shift) % n for k in rep))
+            if rotated < rep:
+                break
+            ties += rotated == rep
+        else:
+            yield rep, n // ties
+
+
+@functools.lru_cache(maxsize=32)
+def _root_errors(powers: tuple, precision: int) -> tuple[float, ...]:
+    """|powers[r] - zeta^r| for each entry of a zeta table, in units of
+    u = 2^(1 - precision).
+
+    Read off the same table built at 2 * precision + 20 bits, whose own
+    error is far below the 2^-10 units added for it and for the float.
+    """
+    from mpmath import mp, mpf, workprec
+
+    n = len(powers) // 2
+    with workprec(2 * precision + 20):
+        scale = mpf(2) ** (precision - 1)
+        return tuple(
+            float(abs(z - mp.expjpi(mpf(r) / n)) * scale) + 2**-10
+            for r, z in enumerate(powers)
+        )
+
+
+def _differences(qs, errs, half: float) -> list:
+    """(q~_i - q~_j, error bound in units of u) for each pair i < j.
+
+    The bound is the two roots' errors d_i + d_j plus the subtraction's
+    rounding, 2^-precision |q~_i - q~_j| <= (1 + (d_i + d_j) u / 2) u,
+    where half = 2^-precision = u / 2.
+    """
+    return [
+        (qs[i] - qs[j], errs[i] + errs[j] + 1 + (errs[i] + errs[j]) * half)
+        for i, j in itertools.combinations(range(len(qs)), 2)
+    ]
 
 
 def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | None):
@@ -259,14 +370,57 @@ def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | No
     return lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)
 
 
-def _degree_term(exponents, lams, exponent: int, powers: tuple):
+def _degree_term(exponents, lams, exponent: int, powers: tuple, errs: tuple, precision: int):
     """One subset's contribution Delta * det[q_i ^ lam_j] * (sum q)^E, with
     q_i = zeta^(e_i) the subset's roots and lam_j = n + 1 - c_j the column
-    powers; degenerate subsets contribute 0 through the Delta factor.
+    powers, and a bound on its error given the table's errors `errs`;
+    degenerate subsets contribute 0 through the Delta factor.
     """
+    from mpmath import mp
+
     qs = [powers[e] for e in exponents]
-    s = sum(qs[1:], qs[0])
-    return vandermonde(qs) * _exponent_det(exponents, lams, powers) * s**exponent
+    ds = [errs[e] for e in exponents]
+    diffs = _differences(qs, ds, 2.0**-precision)
+    coeffs = _det_coefficients(exponents, lams, len(powers) // 2)
+    det = mp.fdot(zip(coeffs, powers))
+    s, s_err = qs[0], ds[0]
+    for q, d in zip(qs[1:], ds[1:]):
+        s = s + q
+        # rounding moves the partial sum by 2^-precision of its exact modulus,
+        # at most 0.54 u of the computed one
+        s_err += d + abs(complex(s)) * 0.54
+    term = math.prod(x for x, _ in diffs) * det * s**exponent
+    factors = [(x, d, 1) for x, d in diffs] + [
+        (det, sum(abs(c) * d for c, d in zip(coeffs, errs)), 1),
+        (s, s_err, exponent),
+    ]
+    # Vandermonde products after the first, the dot product, E for the
+    # power and the two products that join the three factors
+    return term, _product_error(term, factors, len(diffs) + exponent + 2, precision)
+
+
+def _degree_sum(lams, exponent: int, sys: LGRootSystem):
+    """The degree's subset sum and its error bound, one term per rotation
+    orbit of the roots.
+
+    Multiplying every root by zeta^2 = e^(2 pi i / n) permutes the subsets
+    and scales each term by zeta^(2w), w = m(m-1)/2 + sum lam_j + E =
+    mn + nd, so every term of an orbit equals its representative's.
+    """
+    from mpmath import workprec
+
+    m, n, precision = len(lams), sys.n, sys.precision
+    errs = _root_errors(sys.powers, precision)
+    parity = 1 - m % 2
+    with workprec(precision):
+        # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
+        terms = (
+            (size, *_degree_term(
+                [2 * k + parity for k in rep], lams, exponent, sys.powers, errs, precision
+            ))
+            for rep, size in _rotation_orbits(n, m)
+        )
+        return _orbit_sum(terms, precision)
 
 
 def vi_degree(
@@ -285,8 +439,6 @@ def vi_degree(
     E = |columns| + n*d the subvariety's dimension, then scales by
     (-1)^(m(m-1)/2) / n^m.
     """
-    from mpmath import workprec
-
     symbol = SchubertSymbol(columns, d)
     n = m + p
     if symbol.m != m or symbol.columns[-1] > n:
@@ -295,13 +447,8 @@ def vi_degree(
     exponent = symbol_dimension(symbol, n)
     lams = [n + 1 - c for c in symbol.columns]
     sys = _root_system(m, n, precision, roots)
-    with workprec(sys.precision):
-        # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
-        terms = (
-            _degree_term(es, lams, exponent, sys.powers)
-            for es in itertools.combinations(range(1 - m % 2, 2 * n, 2), m)
-        )
-        return _finalize(*_kahan_sum(terms), m, n, sys.precision, tolerance)
+    subset_sum, bound = _degree_sum(lams, exponent, sys)
+    return _finalize(subset_sum, bound, m, n, sys.precision, tolerance)
 
 
 class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p q")):
@@ -350,14 +497,64 @@ def _elementary_all(qs):
     return e
 
 
-def _correlator_summand(qs, powers: tuple[int, ...]):
-    """One subset's contribution: prod e_l(q)^a_l * (prod q) * Delta^2."""
+def _elementary_errors(m: int, root: float, precision: int) -> list[float]:
+    """Bounds on |e~_l - e_l|, l = 0..m, for the e_l that _elementary_all
+    computes from m roots, in units of u = 2^(1 - precision).
+
+    Each step e_k += q e_(k-1) adds the input errors (|q~ - q| <= root u,
+    |e_l| <= C(j, l) after j roots) and two roundings of half a unit each.
+    """
+    u = 2.0 ** (1 - precision)
+    binom = [1] + [0] * m
+    err = [0.0] * (m + 1)
+    for j in range(1, m + 1):
+        for k in range(j, 0, -1):
+            prev = binom[k - 1] + err[k - 1] * u  # bounds |e~_(k-1)|
+            prod = (1 + root * u) * prev  # bounds |q~ e~_(k-1)|
+            err[k] += (
+                root * prev + err[k - 1]
+                + (prod + binom[k] + err[k] * u + prod * (1 + u / 2)) / 2
+            )
+            binom[k] += binom[k - 1]
+    return err
+
+
+def _correlator_term(qs, ds, powers: tuple[int, ...], elementary, precision: int):
+    """One subset's contribution prod e_l(q)^a_l * (prod q) * Delta^2, and a
+    bound on its error given its roots' errors `ds` and the bounds
+    `elementary` on the e_l."""
+    m = len(qs)
+    diffs = _differences(qs, ds, 2.0**-precision)
     e = _elementary_all(qs)
-    term = vandermonde(qs) ** 2 * e[len(qs)]
+    term = math.prod(x for x, _ in diffs) ** 2 * e[m]
+    factors = [(x, d, 2) for x, d in diffs] + [(e[m], elementary[m], 1)]
+    roundings = len(diffs) + 1
     for l, a in enumerate(powers, start=1):
         if a:
             term = term * e[l] ** a
-    return term
+            factors.append((e[l], elementary[l], a))
+            roundings += a + 1
+    return term, _product_error(term, factors, roundings, precision)
+
+
+def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
+    """The correlator's subset sum and its error bound, one term per
+    rotation orbit of the roots (weight m(m-1) + m + sum l a_l = mn + nq)."""
+    from mpmath import workprec
+
+    m, n, precision = spec.m, sys.n, sys.precision
+    errs = _root_errors(sys.powers, precision)[1 - m % 2 :: 2]
+    elementary = _elementary_errors(m, max(errs), precision)
+    roots = sys.roots
+    with workprec(precision):
+        terms = (
+            (size, *_correlator_term(
+                [roots[k] for k in rep], [errs[k] for k in rep],
+                spec.powers, elementary, precision,
+            ))
+            for rep, size in _rotation_orbits(n, m)
+        )
+        return _orbit_sum(terms, precision)
 
 
 def vi_correlator(
@@ -371,15 +568,9 @@ def vi_correlator(
     Each critical subset contributes the class values times the inverse
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
-    from mpmath import workprec
-
     check_tolerance(tolerance)
     m, p = spec.m, spec.p
     n = m + p
     sys = _root_system(m, n, precision, roots)
-    with workprec(sys.precision):
-        terms = (
-            _correlator_summand(subset, spec.powers)
-            for subset in itertools.combinations(sys.roots, m)
-        )
-        return _finalize(*_kahan_sum(terms), m, n, sys.precision, tolerance)
+    subset_sum, bound = _correlator_sum(spec, sys)
+    return _finalize(subset_sum, bound, m, n, sys.precision, tolerance)

@@ -173,6 +173,22 @@ def test_degree_tolerance_failure_exits_four(capsys):
     assert doc["agreement"] is False
 
 
+@pytest.mark.parametrize(
+    "argv,degree",
+    [
+        # the max|term| * #terms noise bound let these two print 17 and 0
+        ("degree --m 2 --p 2 --i 1,3 --d 2 --precision 7 --tolerance 0.49 --method vi", 16),
+        ("degree --m 1 --p 2 --i 1 --d 8 --precision 4 --tolerance 0.25 --method vi", 1),
+        # and with one term per orbit, this one print 0
+        ("degree --m 5 --p 1 --i 1,2,3,4,5 --d 5 --precision 4 --tolerance 0.1 --method vi", 1),
+    ],
+)
+def test_low_precision_vi_prints_the_degree_or_refuses(capsys, argv, degree):
+    code, out, _ = run_cli(capsys, *argv.split())
+    vi = json.loads(out)["methods"]["vi"]
+    assert (code, vi["degree"]) in ((0, str(degree)), (4, None))
+
+
 def test_degree_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "degree", "--m", "3", "--p", "2", "--q", "1")
     _, second, _ = run_cli(capsys, "degree", "--m", "3", "--p", "2", "--q", "1")

@@ -1,21 +1,33 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 from quotdeg.chain_degree import degree_chain
-from quotdeg.indices import InvalidIndexError, SchubertSymbol, schubert_to_composite
+from quotdeg.indices import (
+    InvalidIndexError,
+    SchubertSymbol,
+    schubert_to_composite,
+    symbol_dimension,
+)
 from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 from quotdeg.vafa import (
     DEFAULT_PRECISION,
     CorrelatorSpec,
     DimensionMismatchError,
     ToleranceError,
+    _correlator_sum,
+    _degree_sum,
     _det,
-    _exponent_det,
+    _det_coefficients,
+    _elementary_all,
+    _elementary_errors,
+    _root_errors,
+    _rotation_orbits,
     lg_roots,
     power_sum,
     powersum_determinant,
@@ -23,6 +35,9 @@ from quotdeg.vafa import (
     vi_correlator,
     vi_degree,
 )
+from quotdeg.verify import valid_symbols
+
+from fixed_point_sweep import sweep
 
 
 def _recurrence_degree(columns, d, m, p):
@@ -82,7 +97,8 @@ def test_exponent_det_matches_leibniz_over_root_powers(data):
     lams = [parts[j] + m - j for j in range(m)]
     sys = lg_roots(m, n, precision=200)
     with workprec(200):
-        got = _exponent_det([2 * k + 1 - m % 2 for k in ks], lams, sys.powers)
+        coeffs = _det_coefficients([2 * k + 1 - m % 2 for k in ks], lams, n)
+        got = mp.fdot(zip(coeffs, sys.powers))
         want = _det([[sys.roots[k] ** lam for lam in lams] for k in ks])
         # every Leibniz term has modulus 1, so m! is the scale of the sum
         assert abs(got - want) <= mpf(2) ** -150 * math.factorial(m)
@@ -249,7 +265,7 @@ def test_vi_sums_reject_unusable_tolerance(tolerance):
 
 def test_vi_degree_refuses_last_place_noise():
     # at 404 bits the sum rounds to an integer 68 above the true degree
-    with pytest.raises(ToleranceError, match=r"max\|term\| \* #terms"):
+    with pytest.raises(ToleranceError, match="noise bound"):
         vi_degree((3, 4), 200, 2, 2, precision=404)
     assert vi_degree((3, 4), 200, 2, 2, precision=460).value == quot_degree(2, 2, 200)
 
@@ -292,9 +308,9 @@ def test_vi_degree_matches_recurrence(sym):
     [
         (
             lambda: vi_degree((6, 7, 8, 9, 10), 2, 5, 5, precision=104),
-            "(1.2420850714050832e+19+2.3465352771824128e-11j)",
-            "2.5879273345938257e-11",
-            "2.3465352771824128e-11",
+            "(1.2420850714050832e+19+4.415077683009295e-11j)",
+            "5.1901383854367474e-11",
+            "4.415077683009295e-11",
         ),
         (
             lambda: vi_degree((3, 4), 1, 2, 2, precision=64),
@@ -304,17 +320,17 @@ def test_vi_degree_matches_recurrence(sym):
         ),
         (
             lambda: vi_correlator(CorrelatorSpec.from_powers((6, 1, 0, 4), 4, 4)),
-            "(9.999999999999996+1.2462115580827273e-15j)",
-            "3.764945913427598e-15",
-            "1.2462115580827273e-15",
+            "(10+4.5900783174346316e-15j)",
+            "4.5900783174346316e-15",
+            "4.5900783174346316e-15",
         ),
         (
             lambda: vi_correlator(
                 CorrelatorSpec.from_powers((25, 0, 0, 0, 0), 5, 5), precision=80
             ),
-            "(701149020+9.914119504996282e-15j)",
-            "9.953824715382963e-15",
-            "9.914119504996282e-15",
+            "(701149020+1.83478315891477e-14j)",
+            "2.320757022525851e-14",
+            "1.83478315891477e-14",
         ),
     ],
     ids=[
@@ -385,3 +401,145 @@ def test_correlator_shares_root_systems():
     result = vi_correlator(spec, roots=sys)
     assert result.value == 8
     assert result.precision == 100
+
+
+def _all_subsets_sum(m, sys, term):
+    """Compensated sum of term(roots) over all C(n, m) subsets of the roots:
+    the loop the orbit sum replaced, kept as an oracle."""
+    with workprec(sys.precision):
+        total = comp = mpc(0)
+        for subset in itertools.combinations(range(sys.n), m):
+            y = term([2 * k + 1 - m % 2 for k in subset]) - comp
+            tmp = total + y
+            comp = (tmp - total) - y
+            total = tmp
+    return total
+
+
+def _reference_degree_sum(lams, exponent, m, sys):
+    def term(exponents):
+        qs = [sys.powers[e] for e in exponents]
+        det = mp.fdot(zip(_det_coefficients(exponents, lams, sys.n), sys.powers))
+        return vandermonde(qs) * det * sum(qs[1:], qs[0]) ** exponent
+
+    return _all_subsets_sum(m, sys, term)
+
+
+def _reference_correlator_sum(spec, sys):
+    def term(exponents):
+        qs = [sys.powers[e] for e in exponents]
+        e = _elementary_all(qs)
+        value = vandermonde(qs) ** 2 * e[spec.m]
+        for l, a in enumerate(spec.powers, start=1):
+            value = value * e[l] ** a
+        return value
+
+    return _all_subsets_sum(spec.m, sys, term)
+
+
+def _within_bound(got, bound, reference, precision):
+    # the reference runs at 3 * precision + 40 bits, so its own error is far
+    # below 2^-20 of any bound at `precision`
+    with workprec(3 * precision + 40):
+        return abs(got - reference) <= bound * (1 + mpf(2) ** -20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_degree_sum_is_within_its_bound_of_all_subsets(data):
+    m = data.draw(st.integers(1, 4))
+    p = data.draw(st.integers(1, 4))
+    n = m + p
+    parts = sorted((data.draw(st.integers(0, p)) for _ in range(m)), reverse=True)
+    cols = tuple(p + l - parts[l - 1] for l in range(1, m + 1))
+    d = data.draw(st.integers(0, 2))
+    precision = data.draw(st.integers(4, 80))
+    lams = [n + 1 - c for c in cols]
+    exponent = symbol_dimension(SchubertSymbol(cols, d), n)
+    got, bound = _degree_sum(lams, exponent, lg_roots(m, n, precision))
+    reference = _reference_degree_sum(lams, exponent, m, lg_roots(m, n, 3 * precision + 40))
+    assert _within_bound(got, bound, reference, precision)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_correlator_sum_is_within_its_bound_of_all_subsets(data):
+    m = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(1, 3))
+    n = m + p
+    weight = m * p + n * data.draw(st.integers(0, 2))
+    powers = [0] * m
+    for l in range(m, 1, -1):
+        powers[l - 1] = data.draw(st.integers(0, weight // l))
+        weight -= l * powers[l - 1]
+    powers[0] = weight
+    spec = CorrelatorSpec.from_powers(powers, m, p)
+    precision = data.draw(st.integers(4, 80))
+    got, bound = _correlator_sum(spec, lg_roots(m, n, precision))
+    reference = _reference_correlator_sum(spec, lg_roots(m, n, 3 * precision + 40))
+    assert _within_bound(got, bound, reference, precision)
+
+
+def test_rotation_orbits_partition_the_subsets():
+    for n in range(2, 13):
+        for m in range(1, n):
+            least = {}
+            for subset in itertools.combinations(range(n), m):
+                rotations = [tuple(sorted((k + r) % n for k in subset)) for r in range(n)]
+                rep = min(rotations)
+                least[rep] = least.get(rep, 0) + 1
+            orbits = dict(_rotation_orbits(n, m))
+            assert orbits == least
+            assert sum(orbits.values()) == math.comb(n, m)
+    assert [len(list(_rotation_orbits(n, m))) for n, m in [(10, 5), (8, 4), (8, 3), (6, 3), (4, 2)]] == [
+        26, 10, 7, 4, 2
+    ]
+
+
+def test_every_degree_term_of_an_orbit_has_weight_divisible_by_n():
+    # rotating all roots by e^(2 pi i / n) scales a term by that root to its weight
+    for n in range(2, 9):
+        for m in range(1, n):
+            for cols, d in valid_symbols(m, n - m, 3 * n):
+                exponent = symbol_dimension(SchubertSymbol(cols, d), n)
+                weight = m * (m - 1) // 2 + sum(n + 1 - c for c in cols) + exponent
+                assert weight == m * n + n * d
+                assert weight % n == 0
+
+
+def test_root_errors_bound_the_table():
+    for n in range(2, 13):
+        for precision in (4, 5, 12, 53, 104):
+            sys = lg_roots(1, n, precision)
+            errs = _root_errors(sys.powers, precision)
+            with workprec(4 * precision + 40):
+                for r, z in enumerate(sys.powers):
+                    exact = mp.expjpi(mpf(r) / n)
+                    assert abs(z - exact) <= errs[r] * mpf(2) ** (1 - precision)
+            # within pi + sqrt 2 (or 3 pi + sqrt 2, once r needs more bits) of 2^-precision
+            assert max(errs) <= (2.3 if 2 * n <= 2**precision else 5.5)
+
+
+def test_elementary_errors_bound_the_computed_e():
+    for m in range(1, 5):
+        for n in (m + 1, m + 3):
+            for precision in (4, 12, 53):
+                parity = 1 - m % 2
+                sys = lg_roots(m, n, precision)
+                errs = _root_errors(sys.powers, precision)[parity::2]
+                bounds = _elementary_errors(m, max(errs), precision)
+                exact_roots = lg_roots(m, n, 4 * precision + 40).roots
+                for subset in itertools.combinations(range(n), m):
+                    with workprec(precision):
+                        got = _elementary_all([sys.roots[k] for k in subset])
+                    with workprec(4 * precision + 40):
+                        want = _elementary_all([exact_roots[k] for k in subset])
+                        unit = mpf(2) ** (1 - precision)
+                        for l in range(m + 1):
+                            assert abs(got[l] - want[l]) <= bounds[l] * unit
+
+
+def test_low_precision_sweep_prints_no_wrong_integer():
+    sums, certified, wrong = sweep(4, 12, range(4, 25), (0.49,))
+    assert wrong == []
+    assert certified[0.49] > sums // 2
