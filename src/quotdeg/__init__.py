@@ -37,7 +37,6 @@ from .vafa import (
     lg_roots,
     power_sum,
     powersum_determinant,
-    vandermonde,
     vi_correlator,
     vi_degree,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "schubert_to_composite",
     "symbol_dimension",
     "validate_index",
-    "vandermonde",
     "vi_correlator",
     "vi_degree",
     "__version__",

@@ -182,9 +182,10 @@ def leq_componentwise(i: Iterable[int], j: Iterable[int]) -> bool:
 
 
 def _merged_prefix(entries: tuple[int, ...], n: int, count: int) -> list[int]:
-    # first `count` values of the merged progressions {a + k*n : k >= 0}
-    vals = sorted(a + k * n for a in entries for k in range(count))
-    return vals[:count]
+    # first `count` values of the merged progressions {a + k*n : k >= 0}; all m
+    # start by the top entry, so each has ceil(count / m) values <= bound
+    bound = entries[-1] + n * (-(-count // len(entries)) - 1)
+    return sorted(v for a in entries for v in range(a, bound + 1, n))[:count]
 
 
 def leq_sequence(alpha: CompositeIndex, beta: CompositeIndex) -> bool:

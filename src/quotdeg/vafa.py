@@ -12,8 +12,9 @@ the sum's rounding error stays below it.
 A root system is one table of zeta^0..zeta^(2n-1), zeta = e^(i pi/n); the
 roots are every other entry.  The degree sum indexes each subset by its
 roots' exponents, so the Schur determinant is built from integers: each
-Leibniz term is one exponent sum mod 2n, and the determinant is an
-integer combination of zeta^0..zeta^(n-1) read off by a single dot product.
+entry zeta^s becomes 2^(width s), one Laplace expansion over column subsets
+gives an integer whose signed base-2^width digits are the determinant's
+coefficients on the powers of zeta, read off by a single dot product.
 
 Rotating the roots by zeta^2 = e^(2 pi i/n) permutes the subsets and fixes
 every summand, since each summand's total degree in the roots is a
@@ -44,7 +45,6 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from operator import getitem
 
 from .indices import InvalidIndexError, SchubertSymbol, _OwnTypeEquality, symbol_dimension
 
@@ -111,44 +111,45 @@ def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem
     return LGRootSystem(m, n, precision, powers)
 
 
-def vandermonde(values) -> complex:
-    """Product of pairwise differences v_j - v_k over j < k; 1 for a single value."""
-    prod = 1
-    for a, b in itertools.combinations(tuple(values), 2):
-        prod = prod * (a - b)
-    return prod
-
-
-@functools.cache
-def _signed_permutations(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sign, permutation) for every permutation of range(m), computed once per m."""
-    out = []
-    for perm in itertools.permutations(range(m)):
-        inv = sum(
-            1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b]
-        )
-        out.append((-1 if inv % 2 else 1, perm))
-    return tuple(out)
-
-
 def _det(rows):
-    # Leibniz expansion; exact on ints, fine for the small m used here
-    perms = _signed_permutations(len(rows))
-    return sum(sign * math.prod(map(getitem, rows, perm)) for sign, perm in perms)
+    """Determinant by Laplace expansion down the rows, exact on ints.
+
+    After row k, minors[mask] is the minor on rows 0..k and the columns in
+    mask; column j joins a mask with the sign (-1)^popcount(mask >> j), the
+    number of its columns to the right of j.  Only + and * are used, and an
+    m x m matrix costs 2^m * m products instead of Leibniz's m! * m.
+    """
+    minors = {0: 1}
+    for row in rows:
+        grown = {}
+        for mask, minor in minors.items():
+            for j, x in enumerate(row):
+                if not mask >> j & 1:
+                    term = x * minor if (mask >> j).bit_count() % 2 == 0 else -x * minor
+                    grown[mask | 1 << j] = grown.get(mask | 1 << j, 0) + term
+        minors = grown
+    return minors[(1 << len(rows)) - 1]
 
 
 def _det_coefficients(exponents, lams, n: int) -> list[int]:
     """Integers c_0..c_(n-1) with det[zeta^(e_i * lam_j)] = sum_r c_r zeta^r.
 
-    Each Leibniz term is the single power zeta^(sum_i e_i lam_perm(i)), so
-    the determinant is an integer vector over zeta^0..zeta^(2n-1), folded
-    onto the first n powers by zeta^(r+n) = -zeta^r.
+    Kronecker substitution: the entry zeta^s, s = e_i lam_j mod 2n, becomes
+    the integer x^s with x = 2^width, so _det returns the polynomial
+    sum_s a_s x^s evaluated at x.  Each a_s is a sum of at most m! Leibniz
+    terms of +-1, so |a_s| <= m! < 2^(width - 1), and the signed base-x
+    digits of the determinant are exactly the a_s.  Folding s mod 2n and
+    then zeta^(r+n) = -zeta^r onto zeta^r gives the c_r.
     """
     two_n = 2 * n
-    rows = [[e * lam % two_n for lam in lams] for e in exponents]
+    width = math.factorial(len(lams)).bit_length() + 1
+    value = _det([[1 << width * (e * lam % two_n) for lam in lams] for e in exponents])
+    half = 1 << width - 1
     coeffs = [0] * two_n
-    for sign, perm in _signed_permutations(len(rows)):
-        coeffs[sum(map(getitem, rows, perm)) % two_n] += sign
+    for s in range(len(lams) * (two_n - 1) + 1):
+        # a_s + half is in [0, 2^width), so it is the remainder
+        value, digit = divmod(value + half, 2 * half)
+        coeffs[s % two_n] += digit - half
     return [coeffs[r] - coeffs[r + n] for r in range(n)]
 
 

@@ -1,12 +1,13 @@
 """Independent oracles the package must reproduce.
 
 Kept outside the package on purpose: these know nothing about its
-internals and work by a different principle (hook lengths, brute-force
-filtering).
+internals and work by a different principle (hook lengths, a closed
+form, brute-force filtering, sorting everything, Leibniz expansion).
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def rectangle_syt_count(m: int, p: int) -> int:
@@ -28,3 +29,56 @@ def windowed_lower_set(top: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
         for t in itertools.combinations(range(1, top[-1] + 1), len(top))
         if t[-1] - t[0] < n and all(a <= b for a, b in zip(t, top))
     }
+
+
+def top_degree(m: int, p: int, q: int) -> int:
+    """Degree of the whole degree-q Quot space, from its closed form
+
+        (-1)^(q(m+1)) (mp + qn)! * sum over n_1 + ... + n_m = q, n_j >= 0, of
+        prod_{j<l} (l - j + n(n_l - n_j)) / prod_j (p + j - 1 + n n_j)!
+
+    summed in exact fractions.  At q = 0 it is the hook-length count."""
+    n = m + p
+    total = Fraction(0)
+    for shares in itertools.product(range(q + 1), repeat=m):
+        if sum(shares) != q:
+            continue
+        num = math.prod(
+            l - j + n * (shares[l] - shares[j])
+            for j, l in itertools.combinations(range(m), 2)
+        )
+        den = math.prod(math.factorial(p + j + n * shares[j]) for j in range(m))
+        total += Fraction(num, den)
+    value = (-1) ** (q * (m + 1)) * math.factorial(m * p + q * n) * total
+    assert value.denominator == 1
+    return int(value)
+
+
+def merged_prefix(entries: tuple[int, ...], n: int, count: int) -> list[int]:
+    """First `count` values of the merged progressions {a + k*n : k >= 0},
+    by sorting `count` terms of every progression."""
+    return sorted(a + k * n for a in entries for k in range(count))[:count]
+
+
+def _permutation_sign(perm: tuple[int, ...]) -> int:
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over all m! permutations."""
+    return sum(
+        _permutation_sign(perm) * math.prod(row[j] for row, j in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
+def leibniz_coefficients(exponents, lams, n: int) -> list[int]:
+    """Integers c_0..c_(n-1) with det[zeta^(e_i * lam_j)] = sum_r c_r zeta^r,
+    zeta^(2n) = 1: each Leibniz term is the power zeta^(sum_i e_i lam_perm(i)),
+    and zeta^(r+n) = -zeta^r folds the 2n powers onto the first n."""
+    coeffs = [0] * (2 * n)
+    for perm in itertools.permutations(range(len(lams))):
+        power = sum(e * lams[j] for e, j in zip(exponents, perm))
+        coeffs[power % (2 * n)] += _permutation_sign(perm)
+    return [coeffs[r] - coeffs[r + n] for r in range(n)]

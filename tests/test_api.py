@@ -32,7 +32,6 @@ PUBLIC = [
     "schubert_to_composite",
     "symbol_dimension",
     "validate_index",
-    "vandermonde",
     "vi_correlator",
     "vi_degree",
 ]

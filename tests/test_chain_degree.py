@@ -23,7 +23,7 @@ from quotdeg.indices import (
 )
 from quotdeg.recurrence_degree import RecurrenceTable
 
-from oracles import rectangle_syt_count, windowed_lower_set
+from oracles import rectangle_syt_count, top_degree, windowed_lower_set
 
 
 @st.composite
@@ -216,12 +216,16 @@ def test_bruteforce_bound():
 
 
 def test_rectangle_degrees_match_tableau_counts():
-    # shift 0 top index: chains are standard tableaux of the m x p rectangle
-    for m in range(1, 4):
-        for p in range(1, 4):
+    # shift 0 top index: chains are standard tableaux of the m x p rectangle;
+    # at shift q the top index's degree is the closed form's
+    for m in range(1, 5):
+        for p in range(1, 5):
             n = m + p
-            top = validate_index(tuple(range(p + 1, n + 1)), n)
-            assert degree_chain(top) == rectangle_syt_count(m, p)
+            cols = tuple(range(p + 1, n + 1))
+            assert degree_chain(validate_index(cols, n)) == rectangle_syt_count(m, p)
+            for q in range(5):
+                top = schubert_to_composite(SchubertSymbol(cols, q), n)
+                assert degree_chain(top) == top_degree(m, p, q)
 
 
 def test_unique_chain_when_m_is_one():

@@ -21,7 +21,7 @@ from quotdeg.indices import (
     validate_index,
 )
 
-from oracles import windowed_lower_set
+from oracles import merged_prefix, windowed_lower_set
 
 
 @st.composite
@@ -170,11 +170,17 @@ def test_leq_sequence_prefix_is_stable(a, b):
     direct = all(
         x <= y
         for x, y in zip(
-            _merged_prefix(a.entries, a.n, 2 * count),
-            _merged_prefix(b.entries, b.n, 2 * count),
+            merged_prefix(a.entries, a.n, 2 * count),
+            merged_prefix(b.entries, b.n, 2 * count),
         )
     )
     assert leq_sequence(a, b) == direct
+
+
+@settings(max_examples=200)
+@given(wide_indices(), st.integers(0, 40))
+def test_merged_prefix_matches_sorting_every_progression(a, count):
+    assert _merged_prefix(a.entries, a.n, count) == merged_prefix(a.entries, a.n, count)
 
 
 @settings(max_examples=100)

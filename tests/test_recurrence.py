@@ -6,7 +6,7 @@ from quotdeg.chain_degree import degree_chain
 from quotdeg.indices import SchubertSymbol, bottom_index, schubert_to_composite, validate_index
 from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 
-from oracles import rectangle_syt_count
+from oracles import rectangle_syt_count, top_degree
 
 
 @pytest.mark.parametrize(
@@ -113,9 +113,12 @@ def test_quot_degree_values(m, p, q, expected):
 
 
 def test_quot_degree_matches_tableau_count_at_shift_zero():
+    # the closed form is the hook-length count at q = 0 and holds at every q
     for m in range(1, 5):
         for p in range(1, 5):
             assert quot_degree(m, p, 0) == rectangle_syt_count(m, p)
+            for q in range(5):
+                assert quot_degree(m, p, q) == top_degree(m, p, q)
 
 
 def test_quot_degree_is_one_for_projective_target():

@@ -31,13 +31,13 @@ from quotdeg.vafa import (
     lg_roots,
     power_sum,
     powersum_determinant,
-    vandermonde,
     vi_correlator,
     vi_degree,
 )
 from quotdeg.verify import valid_symbols
 
 from fixed_point_sweep import sweep
+from oracles import leibniz_coefficients, leibniz_det
 
 
 def _recurrence_degree(columns, d, m, p):
@@ -99,19 +99,36 @@ def test_exponent_det_matches_leibniz_over_root_powers(data):
     with workprec(200):
         coeffs = _det_coefficients([2 * k + 1 - m % 2 for k in ks], lams, n)
         got = mp.fdot(zip(coeffs, sys.powers))
-        want = _det([[sys.roots[k] ** lam for lam in lams] for k in ks])
+        want = leibniz_det([[sys.roots[k] ** lam for lam in lams] for k in ks])
         # every Leibniz term has modulus 1, so m! is the scale of the sum
         assert abs(got - want) <= mpf(2) ** -150 * math.factorial(m)
 
 
-def test_vandermonde():
-    assert vandermonde(()) == 1
-    assert vandermonde((7,)) == 1
-    assert vandermonde((5, 2)) == 3
-    assert vandermonde((2, 5)) == -3
-    # swapping two values flips the sign
-    assert vandermonde((1, 4, 9)) == -vandermonde((4, 1, 9))
-    assert vandermonde((1, 4, 9)) == (1 - 4) * (1 - 9) * (4 - 9)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_det_matches_leibniz_on_int_matrices(data):
+    m = data.draw(st.integers(0, 6))
+    entry = st.integers(-(10**6), 10**6)
+    rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    assert _det(rows) == leibniz_det(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_det_coefficients_match_leibniz_exponent_sums(data):
+    m = data.draw(st.integers(0, 6))
+    n = m + data.draw(st.integers(1, 5))
+    exponents = data.draw(st.lists(st.integers(0, 2 * n - 1), min_size=m, max_size=m))
+    lams = data.draw(st.lists(st.integers(0, 4 * n), min_size=m, max_size=m))
+    assert _det_coefficients(exponents, lams, n) == leibniz_coefficients(exponents, lams, n)
+
+
+def test_large_m_degree_sum_matches_chain():
+    # out of reach of an m!-term determinant: 10! terms took about 50 s and 762 MB
+    cols = tuple(range(1, 11))
+    want = degree_chain(schubert_to_composite(SchubertSymbol(cols, 1), 12))
+    assert want == 10
+    assert vi_degree(cols, 1, 10, 2).value == want
 
 
 def test_partition_normalization_rejects_bad_shapes():
@@ -416,11 +433,16 @@ def _all_subsets_sum(m, sys, term):
     return total
 
 
+def _differences_product(qs):
+    # the Vandermonde factor: product of q_j - q_k over j < k
+    return math.prod(a - b for a, b in itertools.combinations(qs, 2))
+
+
 def _reference_degree_sum(lams, exponent, m, sys):
     def term(exponents):
         qs = [sys.powers[e] for e in exponents]
         det = mp.fdot(zip(_det_coefficients(exponents, lams, sys.n), sys.powers))
-        return vandermonde(qs) * det * sum(qs[1:], qs[0]) ** exponent
+        return _differences_product(qs) * det * sum(qs[1:], qs[0]) ** exponent
 
     return _all_subsets_sum(m, sys, term)
 
@@ -429,7 +451,7 @@ def _reference_correlator_sum(spec, sys):
     def term(exponents):
         qs = [sys.powers[e] for e in exponents]
         e = _elementary_all(qs)
-        value = vandermonde(qs) ** 2 * e[spec.m]
+        value = _differences_product(qs) ** 2 * e[spec.m]
         for l, a in enumerate(spec.powers, start=1):
             value = value * e[l] ** a
         return value
