@@ -3,7 +3,6 @@ ways and cross-checked: saturated chain counting, a decrement recurrence,
 and fixed-point sums over roots of z^n = +-1."""
 
 from .chain_degree import (
-    Chain,
     ChainEnumeration,
     degree_bruteforce,
     degree_chain,
@@ -45,7 +44,6 @@ from .verify import VerifyReport, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain",
     "ChainEnumeration",
     "CompositeIndex",
     "CorrelatorSpec",

@@ -23,8 +23,6 @@ from collections.abc import Iterator
 from .indices import CompositeIndex, _decrement_tuples, _OwnTypeEquality, _require_window
 from .indices import dimension
 
-Chain = tuple[CompositeIndex, ...]
-
 DEFAULT_CHAIN_CAP = 100_000
 DEFAULT_BRUTEFORCE_BOUND = 10
 

@@ -46,18 +46,6 @@ EXIT_DIMENSION = 3
 EXIT_TOLERANCE = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this interface reserves 2 for
-    # disagreements, so remap to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class MethodDisagreement(Exception):
-    """Two methods gave different integers for the same request."""
-
-
 def _int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -243,7 +231,8 @@ def cmd_table(args) -> int:
         ch = degree_chain(alpha, memo)
         rec = table.degree(alpha.entries)
         if ch != rec:
-            raise MethodDisagreement(f"methods disagree at q={q}: chain={ch} recurrence={rec}")
+            sys.stderr.write(f"quotdeg: methods disagree at q={q}: chain={ch} recurrence={rec}\n")
+            return EXIT_DISAGREEMENT
         rows.append([str(m), str(p), str(q), str(n), str(m * p + n * q), str(ch)])
     doc = {
         "command": "table",
@@ -344,8 +333,8 @@ def _add_common(parser, numeric: bool) -> None:
                         help="include timing and raw floating-point evidence in reports")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="quotdeg", description="Exact degrees of Quot scheme subvarieties, three ways."
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -408,12 +397,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 0 after help and 2 on a usage error; this
+        # interface reserves 2 for disagreements
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except MethodDisagreement as exc:
-        sys.stderr.write(f"quotdeg: {exc}\n")
-        return EXIT_DISAGREEMENT
     except DimensionMismatchError as exc:
         sys.stderr.write(f"quotdeg: dimension mismatch: {exc}\n")
         return EXIT_DIMENSION

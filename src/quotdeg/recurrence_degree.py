@@ -12,7 +12,7 @@ The box is filled in the lexicographic order in which it is generated.
 A single-entry decrement is lexicographically smaller than the tuple it
 came from, and when it is in the region it is also in the box, so every
 value a tuple sums is filled before the tuple is reached.  A decrement
-outside the region is on the boundary and reads 0 (or its override).
+outside the region is on the boundary and reads 0.
 """
 
 from __future__ import annotations
@@ -23,18 +23,10 @@ from .indices import SchubertSymbol, schubert_to_composite
 class RecurrenceTable:
     """Lazily filled table of recurrence values for fixed m and period n.
 
-    A table may be reused across queries; values accumulate.  `overrides`
-    maps specific tuples to pinned values consulted before the built-in
-    initial and boundary conditions (a testing seam for checking that each
-    condition is actually load-bearing).
+    A table may be reused across queries; values accumulate.
     """
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        overrides: dict[tuple[int, ...], int] | None = None,
-    ) -> None:
+    def __init__(self, m: int, n: int) -> None:
         if m < 1:
             raise ValueError(f"m must be positive, got {m}")
         if n < 2:
@@ -42,13 +34,10 @@ class RecurrenceTable:
         self.m = m
         self.n = n
         self.values: dict[tuple[int, ...], int] = {}
-        self.overrides = dict(overrides or {})
         self._bottom = tuple(range(1, m + 1))
 
     def _pinned(self, t: tuple[int, ...]) -> int | None:
-        # overrides first, then initial value at the bottom, then boundary zeros
-        if t in self.overrides:
-            return self.overrides[t]
+        # initial value at the bottom, then boundary zeros
         if t == self._bottom:
             return 1
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -91,13 +80,11 @@ class RecurrenceTable:
             return pinned
         if t in self.values:
             return self.values[t]
-        values, overrides, bottom = self.values, self.overrides, self._bottom
+        values, bottom = self.values, self._bottom
         for cur in self._box(t):
             if cur in values:
                 continue
-            if cur in overrides:
-                values[cur] = overrides[cur]
-            elif cur == bottom:
+            if cur == bottom:
                 values[cur] = 1
             else:
                 # an in-region decrement lies in the box before cur, so it is
@@ -105,8 +92,7 @@ class RecurrenceTable:
                 acc = 0
                 for l, a in enumerate(cur):
                     dec = cur[:l] + (a - 1,) + cur[l + 1 :]
-                    v = values.get(dec)
-                    acc += overrides.get(dec, 0) if v is None else v
+                    acc += values.get(dec, 0)
                 values[cur] = acc
         return values[t]
 

@@ -37,19 +37,11 @@ from .vafa import (
 )
 
 
-class SuiteResult:
-    """One suite's case count and failure messages, filled in as it runs
-    (a plain mutable class)."""
+class SuiteResult(_OwnTypeEquality, namedtuple("SuiteResult", "name cases failures")):
+    """One suite's case count and failure messages, built once the suite has
+    run.  An immutable named tuple."""
 
-    def __init__(self, name: str, cases: int = 0, failures: list[str] | None = None) -> None:
-        self.name, self.cases = name, cases
-        self.failures = [] if failures is None else failures
-
-    def __repr__(self) -> str:
-        return f"SuiteResult(name={self.name!r}, cases={self.cases!r}, failures={self.failures!r})"
-
-    def __eq__(self, other):
-        return type(other) is SuiteResult and vars(self) == vars(other)
+    __slots__ = ()
 
 
 class VerifyReport(_OwnTypeEquality, namedtuple("VerifyReport", "suites")):
@@ -93,11 +85,11 @@ def windowed_indices(n: int, m: int, max_dim: int) -> list[tuple[int, ...]]:
 
 def base_case_suite(max_mp: int, precision: int, tolerance: float) -> SuiteResult:
     """Bottom index has degree 1 in every space, all three methods."""
-    out = SuiteResult("base_case")
+    cases, failures = 0, []
     for m in range(1, max_mp + 1):
         for p in range(1, max_mp + 1):
             n = m + p
-            out.cases += 1
+            cases += 1
             bot = bottom_index(m, n)
             ch = degree_chain(bot)
             rec = RecurrenceTable(m, n).degree(bot.entries)
@@ -106,49 +98,47 @@ def base_case_suite(max_mp: int, precision: int, tolerance: float) -> SuiteResul
                     tuple(range(1, m + 1)), 0, m, p, precision=precision, tolerance=tolerance
                 ).value
             except ToleranceError as exc:
-                out.failures.append(f"m={m} p={p} bottom vi failed: {exc}")
+                failures.append(f"m={m} p={p} bottom vi failed: {exc}")
                 continue
             if not ch == rec == vi == 1:
-                out.failures.append(
-                    f"m={m} p={p} bottom degrees chain={ch} recurrence={rec} vi={vi}"
-                )
-    return out
+                failures.append(f"m={m} p={p} bottom degrees chain={ch} recurrence={rec} vi={vi}")
+    return SuiteResult("base_case", cases, failures)
 
 
 def roundtrip_suite(max_n: int, max_dim: int) -> SuiteResult:
     """Symbol <-> index conversions invert each other and match dimensions."""
-    out = SuiteResult("roundtrip")
+    cases, failures = 0, []
     for n in range(2, max_n + 1):
         for m in range(1, n):
             p = n - m
             for cols, d in valid_symbols(m, p, max_dim):
-                out.cases += 1
+                cases += 1
                 s = SchubertSymbol(cols, d)
                 alpha = schubert_to_composite(s, n)
                 back = composite_to_schubert(alpha)
                 if back != s:
-                    out.failures.append(f"n={n} {s} -> {alpha} -> {back}")
+                    failures.append(f"n={n} {s} -> {alpha} -> {back}")
                     continue
                 if dimension(alpha) != symbol_dimension(s, n):
-                    out.failures.append(
+                    failures.append(
                         f"n={n} {s}: dimension {dimension(alpha)} != "
                         f"{symbol_dimension(s, n)}"
                     )
-    return out
+    return SuiteResult("roundtrip", cases, failures)
 
 
 def cross_method_suite(
     max_n: int, max_dim: int, precision: int, tolerance: float, memo: dict
 ) -> SuiteResult:
     """chain = recurrence = fixed-point sum on every subvariety in range."""
-    out = SuiteResult("cross_method")
+    cases, failures = 0, []
     for n in range(2, max_n + 1):
         for m in range(1, n):
             p = n - m
             table = RecurrenceTable(m, n)
             roots = lg_roots(m, n, precision)
             for cols, d in valid_symbols(m, p, max_dim):
-                out.cases += 1
+                cases += 1
                 alpha = schubert_to_composite(SchubertSymbol(cols, d), n)
                 ch = degree_chain(alpha, memo)
                 rec = table.degree(alpha.entries)
@@ -157,18 +147,16 @@ def cross_method_suite(
                         cols, d, m, p, tolerance=tolerance, roots=roots
                     ).value
                 except ToleranceError as exc:
-                    out.failures.append(f"n={n} i={cols} d={d}: vi failed: {exc}")
+                    failures.append(f"n={n} i={cols} d={d}: vi failed: {exc}")
                     continue
                 if not ch == rec == vi:
-                    out.failures.append(
-                        f"n={n} i={cols} d={d}: chain={ch} recurrence={rec} vi={vi}"
-                    )
-    return out
+                    failures.append(f"n={n} i={cols} d={d}: chain={ch} recurrence={rec} vi={vi}")
+    return SuiteResult("cross_method", cases, failures)
 
 
 def pieri_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
     """degree(alpha) equals the sum of degrees over its lower covers."""
-    out = SuiteResult("pieri")
+    cases, failures = 0, []
     for n in range(2, max_n + 1):
         for m in range(1, n):
             bottom = bottom_index(m, n)
@@ -176,38 +164,34 @@ def pieri_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
                 alpha = CompositeIndex(entries, n)
                 if alpha == bottom:
                     continue
-                out.cases += 1
+                cases += 1
                 total = sum(degree_chain(b, memo) for b in lower_covers(alpha))
                 got = degree_chain(alpha, memo)
                 if got != total:
-                    out.failures.append(
-                        f"n={n} alpha={entries}: degree {got} != cover sum {total}"
-                    )
-    return out
+                    failures.append(f"n={n} alpha={entries}: degree {got} != cover sum {total}")
+    return SuiteResult("pieri", cases, failures)
 
 
 def chain_oracle_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
     """Memoized post-order walk agrees with the uncached upward walk behind
     enumerate_chains (small range)."""
-    out = SuiteResult("chain_oracle")
+    cases, failures = 0, []
     for n in range(2, min(max_n, 5) + 1):
         for m in range(1, n):
             for entries in windowed_indices(n, m, min(max_dim, 8)):
                 alpha = CompositeIndex(entries, n)
-                out.cases += 1
+                cases += 1
                 fast = degree_chain(alpha, memo)
                 slow = degree_bruteforce(alpha, max_dim=8)
                 if fast != slow:
-                    out.failures.append(
-                        f"n={n} alpha={entries}: worklist {fast} != walk {slow}"
-                    )
-    return out
+                    failures.append(f"n={n} alpha={entries}: worklist {fast} != walk {slow}")
+    return SuiteResult("chain_oracle", cases, failures)
 
 
 def order_agreement_suite(max_n: int) -> SuiteResult:
     """Merged-progression order restricted to the window is the componentwise
     order: checked on all pairs with entries <= 3n."""
-    out = SuiteResult("order_agreement")
+    cases, failures = 0, []
     for n in range(2, max_n + 1):
         for m in range(1, n):
             pool = [
@@ -217,21 +201,21 @@ def order_agreement_suite(max_n: int) -> SuiteResult:
             ]
             for a in pool:
                 for b in pool:
-                    out.cases += 1
+                    cases += 1
                     seq = leq_sequence(a, b)
                     comp = leq_componentwise(a.entries, b.entries)
                     if seq != comp:
-                        out.failures.append(
+                        failures.append(
                             f"n={n} {a.entries} vs {b.entries}: "
                             f"sequence={seq} componentwise={comp}"
                         )
-    return out
+    return SuiteResult("order_agreement", cases, failures)
 
 
 def powersum_suite(max_mp: int) -> SuiteResult:
     """Exact determinant identity: 1 on the full rectangle, 0 on every other
     partition of the same weight (each such mu has mu_m < p)."""
-    out = SuiteResult("powersum_identity")
+    cases, failures = 0, []
     for m in range(1, max_mp + 1):
         for p in range(1, max_mp + 1):
             n = m + p
@@ -239,25 +223,25 @@ def powersum_suite(max_mp: int) -> SuiteResult:
             for mu in itertools.combinations_with_replacement(range(m * p, -1, -1), m):
                 if sum(mu) != m * p:
                     continue
-                out.cases += 1
+                cases += 1
                 val = powersum_determinant(mu, m, n)
                 want = 1 if mu == rect else 0
                 if val != want:
-                    out.failures.append(f"m={m} p={p} mu={mu}: {val} != {want}")
-    return out
+                    failures.append(f"m={m} p={p} mu={mu}: {val} != {want}")
+    return SuiteResult("powersum_identity", cases, failures)
 
 
 def cover_soundness_suite(max_n: int) -> SuiteResult:
     """covers() matches the order-theoretic definition on every windowed
     index with n <= 5 and dimension <= 6."""
-    out = SuiteResult("cover_soundness")
+    cases, failures = 0, []
     for n in range(2, min(max_n, 5) + 1):
         for m in range(1, n):
             pool = [CompositeIndex(entries, n) for entries in windowed_indices(n, m, 6)]
             for a in pool:
                 below = [b for b in pool if b != a and leq_componentwise(b.entries, a.entries)]
                 for b in below:
-                    out.cases += 1
+                    cases += 1
                     strict_between = any(
                         leq_componentwise(b.entries, c.entries)
                         and leq_componentwise(c.entries, a.entries)
@@ -267,11 +251,11 @@ def cover_soundness_suite(max_n: int) -> SuiteResult:
                     want = not strict_between
                     got = covers(a, b)
                     if got != want:
-                        out.failures.append(
+                        failures.append(
                             f"n={n} {a.entries} covers {b.entries}: "
                             f"got {got}, order says {want}"
                         )
-    return out
+    return SuiteResult("cover_soundness", cases, failures)
 
 
 def duality_rows(max_n: int, max_q: int = 2) -> list[dict]:

@@ -8,8 +8,9 @@ wrong answer the CLI would print with exit 0, and there must be none.
 
     PYTHONPATH=src python tests/fixed_point_sweep.py
 
-runs the full sweep (24,840 sums, a few minutes), prints the counts and
-exits 1 on any wrong integer.  test_vafa.py runs a small slice of it.
+runs the full sweep (24,840 sums, 26 s on a 2-vCPU VM under Python 3.11
+with pure-Python mpmath), prints the counts and exits 1 on any wrong
+integer.  test_vafa.py runs a small slice of it.
 """
 
 import sys

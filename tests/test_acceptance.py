@@ -29,7 +29,7 @@ from quotdeg.vafa import (
 )
 from quotdeg.verify import valid_symbols, windowed_indices
 
-from oracles import rectangle_syt_count
+from oracles import rectangle_syt_count, top_degree
 
 
 def _report(cid, claim, ok, detail):
@@ -70,6 +70,9 @@ def test_c02_classical_degrees_match_tableau_counts():
         for p in range(1, 5):
             if quot_degree(m, p, 0) != rectangle_syt_count(m, p):
                 failures.append((m, p))
+            for q in range(5):
+                if quot_degree(m, p, q) != top_degree(m, p, q):
+                    failures.append((m, p, q))
     frozen = (
         quot_degree(2, 2, 0) == 2
         and quot_degree(2, 3, 0) == 5
@@ -78,9 +81,10 @@ def test_c02_classical_degrees_match_tableau_counts():
     elapsed = time.perf_counter() - start
     _report(
         "C02",
-        "order-0 degree equals the hook-length tableau count (m,p <= 4)",
+        "order-0 degree equals the hook-length tableau count, and every order "
+        "q <= 4 the closed form (m,p <= 4)",
         not failures and frozen and elapsed < 1.0,
-        f"16 cases incl. 2/5/42, {elapsed:.2f}s",
+        f"16 + 80 cases incl. 2/5/42, {elapsed:.2f}s",
     )
 
 

@@ -1,7 +1,6 @@
 import quotdeg
 
 PUBLIC = [
-    "Chain",
     "ChainEnumeration",
     "CompositeIndex",
     "CorrelatorSpec",

@@ -148,6 +148,25 @@ def test_usage_errors_exit_one(capsys, argv):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["degree", "-h"], ["correlator", "-h"], ["table", "-h"], ["chains", "-h"],
+     ["verify", "-h"]],
+)
+def test_help_exits_zero_on_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: quotdeg") and err == ""
+
+
+def test_argparse_error_exits_one_with_usage(capsys):
+    # argparse's own refusals (here a bad int) exit 1, not argparse's 2
+    code, out, err = run_cli(capsys, "degree", "--m", "x")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: quotdeg degree")
+    assert "quotdeg degree: error:" in err
+
+
 def test_low_precision_is_refused_before_any_method_runs(capsys, monkeypatch):
     import quotdeg.cli as cli
 

@@ -63,23 +63,22 @@ def test_recurrence_matches_chain_exhaustively():
                 assert table.degree(entries) == degree_chain(alpha, memo), alpha
 
 
-def test_overrides_alter_dependent_values_only():
-    # poisoning one cell must shift exactly the values that consume it
-    clean = RecurrenceTable(1, 2)
-    poisoned = RecurrenceTable(1, 2, overrides={(2,): 5})
-    assert clean.degree((2,)) == 1
-    assert poisoned.degree((2,)) == 5
-    assert poisoned.degree((1,)) == 1
-    assert poisoned.degree((3,)) == 5
-
-
-def test_override_base_cell_propagates():
-    clean = RecurrenceTable(2, 4)
-    poisoned = RecurrenceTable(2, 4, overrides={(1, 3): 7})
-    assert clean.degree((1, 3)) == 1
-    # (2,3) = d(1,3) + d(2,2) = 7 + 0 under the override
-    assert poisoned.degree((2, 3)) == 7
-    assert poisoned.degree((1, 2)) == 1
+@pytest.mark.parametrize(
+    "entries,n,boundary,expected",
+    [
+        # d(1,3) = d(0,3) + d(1,2) = 0 + 1
+        ((1, 3), 4, (0, 3), 1),
+        # d(2,3) = d(1,3) + d(2,2) = 1 + 0
+        ((2, 3), 4, (2, 2), 1),
+        # d(2,5) = d(1,5) + d(2,4) = 0 + (d(1,4) + d(2,3)) = 0 + (1 + 1)
+        ((2, 5), 4, (1, 5), 2),
+    ],
+    ids=["leading-entry-0", "equal-entries", "span-equals-n"],
+)
+def test_decrement_reaching_each_boundary_reads_zero(entries, n, boundary, expected):
+    table = RecurrenceTable(len(entries), n)
+    assert table.degree(boundary) == 0
+    assert table.degree(entries) == expected == degree_chain(validate_index(entries, n))
 
 
 @pytest.mark.parametrize(
@@ -143,16 +142,6 @@ def test_bottom_index_degree_is_one():
 def test_recurrence_agrees_on_large_single_index():
     alpha = validate_index((6, 9, 11), 6)
     assert RecurrenceTable(3, 6).degree(alpha.entries) == degree_chain(alpha)
-
-
-@pytest.mark.parametrize("order", [((1, 3), (2, 4), (3, 4)), ((3, 4), (2, 4), (1, 3))])
-def test_override_outside_region_feeds_dependents(order):
-    # (0, 3) is on the boundary (leading entry 0), yet its override is read
-    # by (1, 3) and everything above it; unoverridden these are 1, 2 and 2
-    table = RecurrenceTable(2, 4, overrides={(0, 3): 5})
-    expected = {(1, 3): 6, (2, 4): 12, (3, 4): 12}
-    for entries in order:
-        assert table.degree(entries) == expected[entries]
 
 
 def test_query_order_does_not_change_values():

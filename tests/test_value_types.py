@@ -50,12 +50,14 @@ CASES = [
     (SuiteResult, {"name": "pieri", "cases": 3, "failures": ["x"]},
      "SuiteResult(name='pieri', cases=3, failures=['x'])"),
 ]
-FROZEN = {CompositeIndex, SchubertSymbol, ChainEnumeration, NumericResult, LGRootSystem,
-          CorrelatorSpec}
+HASHABLE = {CompositeIndex, SchubertSymbol, ChainEnumeration, NumericResult, LGRootSystem,
+            CorrelatorSpec}
 
 
 def test_value_type_contract():
-    assert {cls for cls, _, _ in CASES} == FROZEN | {VerifyReport, SuiteResult}
+    # every type is immutable; the two holding a list of suites or failures
+    # are not hashable
+    assert {cls for cls, _, _ in CASES} == HASHABLE | {VerifyReport, SuiteResult}
     for cls, kwargs, text in CASES:
         value = cls(**kwargs)
         assert repr(value) == text
@@ -64,11 +66,11 @@ def test_value_type_contract():
         twin = cls(**kwargs)
         assert value == twin and not value != twin
         assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
-        if cls in FROZEN:
-            assert hash(value) == hash(twin)
-            first = next(iter(kwargs))
+        for name, field in kwargs.items():
             with pytest.raises(AttributeError):
-                setattr(value, first, kwargs[first])
+                setattr(value, name, field)
+        if cls in HASHABLE:
+            assert hash(value) == hash(twin)
 
     # int coercion on construction, as before
     assert CompositeIndex(["1", 2.0], "5") == INDEX
@@ -82,9 +84,3 @@ def test_value_type_contract():
     # q is inferred, never passed
     with pytest.raises(TypeError):
         CorrelatorSpec((8, 0), 2, 2, q=1)
-    # the one mutable holder: suites count into it as they run
-    suite = SuiteResult("pieri")
-    suite.cases += 2
-    suite.failures.append("x")
-    assert (suite.cases, suite.failures) == (2, ["x"])
-    assert SuiteResult("a") != SuiteResult("b") and SuiteResult("a").failures == []
