@@ -16,11 +16,16 @@ entry zeta^s becomes 2^(width s), one Laplace expansion over column subsets
 gives an integer whose signed base-2^width digits are the determinant's
 coefficients on the powers of zeta, read off by a single dot product.
 
-Rotating the roots by zeta^2 = e^(2 pi i/n) permutes the subsets and fixes
-every summand, since each summand's total degree in the roots is a
-multiple of n.  So each sum takes one term per rotation orbit, the orbit's
-least member, times the orbit's size: 26 terms for the 252 subsets at
-m = p = 5.
+Both sums run through one loop, _orbit_terms.  Rotating the roots by
+zeta^2 = e^(2 pi i/n) permutes the subsets and fixes every term, since
+each term's total degree in the roots is a multiple of n, so the loop
+takes one term per rotation orbit, the orbit's least member, times the
+orbit's size: 26 terms for the 252 subsets at m = p = 5.  A term is the
+Vandermonde product Delta of the subset's root differences (squared for
+a correlator) times a summand: the degree's determinant and power of the
+root sum, or the correlator's elementary symmetric functions.  One shell,
+_fixed_point, checks the tolerance, refuses a sum whose work (known from
+m and n before any root is computed) exceeds a fixed limit, and rounds.
 
 The rounding bound follows each term's own error.  A term is a product
 of powers of computed factors (root differences, the determinant, the root
@@ -278,8 +283,9 @@ def _product_error(value, factors, roundings: int, precision: int):
 
 
 def _orbit_sum(weighted, precision: int):
-    """Compensated sum of size * term over (size, term, error) triples, and a
-    bound on its distance from the sum of size * (exact term).
+    """Compensated sum, at the working precision, of size * term over
+    (size, term, error) triples, and a bound on its distance from the sum
+    of size * (exact term).
 
     With y, a and comp each step's corrected input, rounded increment and
     new compensation, total - comp stays the sum of the inputs up to the
@@ -291,15 +297,16 @@ def _orbit_sum(weighted, precision: int):
 
     total = comp = mpc(0)
     errors, moduli = [], []
-    for size, term, error in weighted:
-        w = size * term
-        y = w - comp
-        tmp = total + y
-        a = tmp - total
-        comp = a - y
-        total = tmp
-        errors.append((size, error))
-        moduli += (abs(w), abs(y), abs(a), abs(comp))
+    with workprec(precision):
+        for size, term, error in weighted:
+            w = size * term
+            y = w - comp
+            tmp = total + y
+            a = tmp - total
+            comp = a - y
+            total = tmp
+            errors.append((size, error))
+            moduli += (abs(w), abs(y), abs(a), abs(comp))
     with workprec(53):
         u = mpf(2) ** (1 - precision)
         # the moduli were rounded at the working precision, hence 1 + u
@@ -348,80 +355,84 @@ def _root_errors(powers: tuple, precision: int) -> tuple[float, ...]:
         )
 
 
-def _differences(qs, errs, half: float) -> list:
-    """(q~_i - q~_j, error bound in units of u) for each pair i < j.
+def _orbit_terms(m: int, sys: LGRootSystem, errs: tuple, power: int, summand):
+    """(size, term, error bound) for each rotation orbit of the m-subsets
+    of the roots, term = Delta^power * (the rest), from its least member;
+    errs are the zeta table's errors, from _root_errors.
 
-    The bound is the two roots' errors d_i + d_j plus the subtraction's
-    rounding, 2^-precision |q~_i - q~_j| <= (1 + (d_i + d_j) u / 2) u,
-    where half = 2^-precision = u / 2.
+    Delta is the product of the differences q~_i - q~_j, i < j, each off by
+    the two roots' errors d_i + d_j plus its rounding, 2^-precision
+    |q~_i - q~_j| <= (1 + (d_i + d_j) u / 2) u.  summand(Delta^power,
+    exponents, qs, ds) multiplies in the rest of the term and returns it
+    with its other factors (x~, d, a) and roundings; the Vandermonde
+    products after the first add len(diffs) roundings.
     """
-    return [
-        (qs[i] - qs[j], errs[i] + errs[j] + 1 + (errs[i] + errs[j]) * half)
-        for i, j in itertools.combinations(range(len(qs)), 2)
-    ]
+    half = 2.0**-sys.precision
+    for rep, size in _rotation_orbits(sys.n, m):
+        # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
+        exponents = [2 * k + 1 - m % 2 for k in rep]
+        qs = [sys.powers[e] for e in exponents]
+        ds = [errs[e] for e in exponents]
+        diffs = [
+            (qs[i] - qs[j], ds[i] + ds[j] + 1 + (ds[i] + ds[j]) * half)
+            for i, j in itertools.combinations(range(m), 2)
+        ]
+        term, factors, roundings = summand(
+            math.prod(x for x, _ in diffs) ** power, exponents, qs, ds
+        )
+        factors = [(x, d, power) for x, d in diffs] + factors
+        yield size, term, _product_error(term, factors, len(diffs) + roundings, sys.precision)
 
 
-def _root_system(m: int, n: int, precision: int | None, roots: LGRootSystem | None):
-    if roots is not None:
-        if (roots.m % 2, roots.n) != (m % 2, n):
-            raise ValueError("supplied root system does not match m, n")
-        if precision is not None and precision != roots.precision:
-            raise ValueError("supplied root system has a different precision")
-        return roots
-    return lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)
+# The largest fixed-point sum admitted, in orbits times the weight of a term.
+# On a 2-vCPU VM at 80 bits a degree's unit takes about 2 us (m = p = 8: 1.6
+# million, 2.5 s) and a correlator's about 20 us (m = 10, p = 11: 33 s).
+_MAX_WORK = 2 * 10**6
 
 
-def _degree_term(exponents, lams, exponent: int, powers: tuple, errs: tuple, precision: int):
-    """One subset's contribution Delta * det[q_i ^ lam_j] * (sum q)^E, with
-    q_i = zeta^(e_i) the subset's roots and lam_j = n + 1 - c_j the column
-    powers, and a bound on its error given the table's errors `errs`;
-    degenerate subsets contribute 0 through the Delta factor.
-    """
-    from mpmath import mp
-
-    qs = [powers[e] for e in exponents]
-    ds = [errs[e] for e in exponents]
-    diffs = _differences(qs, ds, 2.0**-precision)
-    coeffs = _det_coefficients(exponents, lams, len(powers) // 2)
-    det = mp.fdot(zip(coeffs, powers))
-    s, s_err = qs[0], ds[0]
-    for q, d in zip(qs[1:], ds[1:]):
-        s = s + q
-        # rounding moves the partial sum by 2^-precision of its exact modulus,
-        # at most 0.54 u of the computed one
-        s_err += d + abs(complex(s)) * 0.54
-    term = math.prod(x for x, _ in diffs) * det * s**exponent
-    factors = [(x, d, 1) for x, d in diffs] + [
-        (det, sum(abs(c) * d for c, d in zip(coeffs, errs)), 1),
-        (s, s_err, exponent),
-    ]
-    # Vandermonde products after the first, the dot product, E for the
-    # power and the two products that join the three factors
-    return term, _product_error(term, factors, len(diffs) + exponent + 2, precision)
+def _fixed_point(subset_sum, m: int, n: int, weight: int, precision, tolerance, roots):
+    """Check the tolerance and the work, build or check the root system,
+    and round subset_sum(roots).  The work, ceil(C(n, m) / n) orbits times
+    `weight` per term, is known before any root is computed."""
+    check_tolerance(tolerance)
+    orbits = -(-math.comb(n, m) // n)
+    if orbits * weight > _MAX_WORK:
+        raise ValueError(
+            f"fixed-point sum too large: an estimated {orbits * weight} units of work "
+            f"({orbits} rotation orbits times {weight} per term) exceed the limit {_MAX_WORK}"
+        )
+    if roots is None:
+        roots = lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)
+    elif (roots.m % 2, roots.n) != (m % 2, n):
+        raise ValueError("supplied root system does not match m, n")
+    elif precision is not None and precision != roots.precision:
+        raise ValueError("supplied root system has a different precision")
+    total, bound = subset_sum(roots)
+    return _finalize(total, bound, m, n, roots.precision, tolerance)
 
 
 def _degree_sum(lams, exponent: int, sys: LGRootSystem):
-    """The degree's subset sum and its error bound, one term per rotation
-    orbit of the roots.
+    """The degree's subset sum and its error bound.  The summand is
+    det[q_i ^ lam_j] * (sum q)^E, lam_j = n + 1 - c_j; the term's weight
+    m(m-1)/2 + sum lam_j + E = mn + nd is a multiple of n."""
+    from mpmath import mp
 
-    Multiplying every root by zeta^2 = e^(2 pi i / n) permutes the subsets
-    and scales each term by zeta^(2w), w = m(m-1)/2 + sum lam_j + E =
-    mn + nd, so every term of an orbit equals its representative's.
-    """
-    from mpmath import workprec
+    errs = _root_errors(sys.powers, sys.precision)
 
-    m, n, precision = len(lams), sys.n, sys.precision
-    errs = _root_errors(sys.powers, precision)
-    parity = 1 - m % 2
-    with workprec(precision):
-        # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
-        terms = (
-            (size, *_degree_term(
-                [2 * k + parity for k in rep], lams, exponent, sys.powers, errs, precision
-            ))
-            for rep, size in _rotation_orbits(n, m)
-        )
-        return _orbit_sum(terms, precision)
+    def summand(head, exponents, qs, ds):
+        coeffs = _det_coefficients(exponents, lams, sys.n)
+        det = mp.fdot(zip(coeffs, sys.powers))
+        s, s_err = qs[0], ds[0]
+        for q, d in zip(qs[1:], ds[1:]):
+            s = s + q
+            # rounding moves the partial sum by 2^-precision of its exact modulus,
+            # at most 0.54 u of the computed one
+            s_err += d + abs(complex(s)) * 0.54
+        factors = [(det, sum(abs(c) * d for c, d in zip(coeffs, errs)), 1), (s, s_err, exponent)]
+        # the dot product, E for the power and the two joining products
+        return head * det * s**exponent, factors, exponent + 2
+
+    return _orbit_sum(_orbit_terms(len(lams), sys, errs, 1, summand), sys.precision)
 
 
 def vi_degree(
@@ -444,12 +455,12 @@ def vi_degree(
     n = m + p
     if symbol.m != m or symbol.columns[-1] > n:
         raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
-    check_tolerance(tolerance)
     exponent = symbol_dimension(symbol, n)
     lams = [n + 1 - c for c in symbol.columns]
-    sys = _root_system(m, n, precision, roots)
-    subset_sum, bound = _degree_sum(lams, exponent, sys)
-    return _finalize(subset_sum, bound, m, n, sys.precision, tolerance)
+    return _fixed_point(
+        lambda sys: _degree_sum(lams, exponent, sys),  # _det takes 2^m m products
+        m, n, 2**m * m, precision, tolerance, roots,
+    )
 
 
 class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p q")):
@@ -520,42 +531,25 @@ def _elementary_errors(m: int, root: float, precision: int) -> list[float]:
     return err
 
 
-def _correlator_term(qs, ds, powers: tuple[int, ...], elementary, precision: int):
-    """One subset's contribution prod e_l(q)^a_l * (prod q) * Delta^2, and a
-    bound on its error given its roots' errors `ds` and the bounds
-    `elementary` on the e_l."""
-    m = len(qs)
-    diffs = _differences(qs, ds, 2.0**-precision)
-    e = _elementary_all(qs)
-    term = math.prod(x for x, _ in diffs) ** 2 * e[m]
-    factors = [(x, d, 2) for x, d in diffs] + [(e[m], elementary[m], 1)]
-    roundings = len(diffs) + 1
-    for l, a in enumerate(powers, start=1):
-        if a:
-            term = term * e[l] ** a
-            factors.append((e[l], elementary[l], a))
-            roundings += a + 1
-    return term, _product_error(term, factors, roundings, precision)
-
-
 def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
-    """The correlator's subset sum and its error bound, one term per
-    rotation orbit of the roots (weight m(m-1) + m + sum l a_l = mn + nq)."""
-    from mpmath import workprec
+    """The correlator's subset sum and its error bound: one term
+    Delta^2 * e_m * prod e_l(q)^a_l per rotation orbit of the roots
+    (weight m(m-1) + m + sum l a_l = mn + nq)."""
+    m, precision = spec.m, sys.precision
+    errs = _root_errors(sys.powers, precision)
+    elementary = _elementary_errors(m, max(errs[1 - m % 2 :: 2]), precision)
 
-    m, n, precision = spec.m, sys.n, sys.precision
-    errs = _root_errors(sys.powers, precision)[1 - m % 2 :: 2]
-    elementary = _elementary_errors(m, max(errs), precision)
-    roots = sys.roots
-    with workprec(precision):
-        terms = (
-            (size, *_correlator_term(
-                [roots[k] for k in rep], [errs[k] for k in rep],
-                spec.powers, elementary, precision,
-            ))
-            for rep, size in _rotation_orbits(n, m)
-        )
-        return _orbit_sum(terms, precision)
+    def summand(head, exponents, qs, ds):
+        e = _elementary_all(qs)
+        term, factors, roundings = head * e[m], [(e[m], elementary[m], 1)], 1
+        for l, a in enumerate(spec.powers, start=1):
+            if a:
+                term = term * e[l] ** a
+                factors.append((e[l], elementary[l], a))
+                roundings += a + 1
+        return term, factors, roundings
+
+    return _orbit_sum(_orbit_terms(m, sys, errs, 2, summand), precision)
 
 
 def vi_correlator(
@@ -569,9 +563,7 @@ def vi_correlator(
     Each critical subset contributes the class values times the inverse
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
-    check_tolerance(tolerance)
-    m, p = spec.m, spec.p
-    n = m + p
-    sys = _root_system(m, n, precision, roots)
-    subset_sum, bound = _correlator_sum(spec, sys)
-    return _finalize(subset_sum, bound, m, n, sys.precision, tolerance)
+    return _fixed_point(
+        lambda sys: _correlator_sum(spec, sys),  # e_0..e_m and Delta take about m^2 steps
+        spec.m, spec.m + spec.p, spec.m**2, precision, tolerance, roots,
+    )

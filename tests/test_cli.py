@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,23 @@ def test_low_precision_is_refused_before_any_method_runs(capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert "precision must be at least 4 bits, got 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "--m", "30", "--p", "30", "--q", "0", "--method", "vi"),
+        ("correlator", "--m", "30", "--p", "30", "--powers", ",".join(["900"] + ["0"] * 29)),
+    ],
+    ids=["degree", "correlator"],
+)
+def test_oversized_fixed_point_sum_exits_one_at_once(capsys, argv):
+    # about 2 * 10^15 orbit terms: refused from m and n alone, before any root
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("quotdeg: error: fixed-point sum too large: an estimated ")
 
 
 def test_degree_tolerance_failure_exits_four(capsys):

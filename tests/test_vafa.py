@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from quotdeg.vafa import (
 from quotdeg.verify import valid_symbols
 
 from fixed_point_sweep import sweep
-from oracles import leibniz_coefficients, leibniz_det
+from oracles import leibniz_coefficients, leibniz_det, top_degree
 
 
 def _recurrence_degree(columns, d, m, p):
@@ -242,12 +243,58 @@ def test_vi_degree_accepts_prebuilt_roots():
     assert result.value == 8
     assert result.precision == 64
     assert result == vi_degree((3, 4), 1, 2, 2, precision=64)
-    with pytest.raises(ValueError):
-        vi_degree((3, 4), 1, 2, 2, precision=53, roots=sys)
-    with pytest.raises(ValueError):
-        vi_degree((3, 4), 0, 2, 3, roots=sys)  # wrong n
-    with pytest.raises(ValueError):
-        vi_degree((2, 3, 4), 0, 3, 1, roots=sys)  # wrong parity
+
+
+@pytest.mark.parametrize(
+    "top",
+    [
+        lambda m, p, **kw: vi_degree(tuple(range(p + 1, m + p + 1)), 1, m, p, **kw),
+        lambda m, p, **kw: vi_correlator(
+            CorrelatorSpec.from_powers((m * p + m + p,) + (0,) * (m - 1), m, p), **kw
+        ),
+    ],
+    ids=["vi_degree", "vi_correlator"],
+)
+def test_vi_sums_refuse_mismatched_roots(top):
+    # the degree of the whole order-1 space, as a degree and as <sigma_1^dim>
+    sys = lg_roots(2, 4, precision=64)
+    assert top(2, 2, roots=sys).value == 8
+    with pytest.raises(ValueError, match="different precision"):
+        top(2, 2, precision=53, roots=sys)
+    with pytest.raises(ValueError, match="does not match"):
+        top(2, 3, roots=sys)  # wrong n
+    with pytest.raises(ValueError, match="does not match"):
+        top(3, 1, roots=sys)  # wrong parity
+
+
+@pytest.mark.parametrize(
+    "request_sum,orbits,weight",
+    [
+        (
+            lambda: vi_degree(tuple(range(31, 61)), 0, 30, 30),
+            -(-math.comb(60, 30) // 60),
+            2**30 * 30,
+        ),
+        (lambda: vi_degree(tuple(range(10, 19)), 0, 9, 9), 2702, 2**9 * 9),
+        (
+            lambda: vi_correlator(CorrelatorSpec.from_powers((900,) + (0,) * 29, 30, 30)),
+            -(-math.comb(60, 30) // 60),
+            30**2,
+        ),
+    ],
+    ids=["degree-30,30", "degree-9,9", "correlator-30,30"],
+)
+def test_oversized_sums_are_refused_before_any_work(request_sum, orbits, weight, monkeypatch):
+    import quotdeg.vafa as vafa
+
+    monkeypatch.setattr(vafa, "lg_roots", lambda *args: pytest.fail("roots were built"))
+    monkeypatch.setattr(vafa, "_rotation_orbits", lambda *args: pytest.fail("a sum ran"))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large") as refusal:
+        request_sum()
+    assert time.perf_counter() - start < 1
+    assert f"estimated {orbits * weight} units" in str(refusal.value)
+    assert f"limit {vafa._MAX_WORK}" in str(refusal.value)
 
 
 def test_vi_degree_precision_sharpens_residual():
@@ -363,6 +410,74 @@ def test_verbose_evidence_is_pinned(call, raw, residual, imag):
     assert (repr(result.raw), repr(result.residual), repr(result.imag)) == (raw, residual, imag)
 
 
+@pytest.mark.parametrize(
+    "subset_sum,want",
+    [
+        (
+            lambda: _degree_sum([5, 4, 3, 2, 1], 45, lg_roots(5, 10, 104)),  # (6,7,8,9,10;2)
+            (
+                (0, 10419364766669253296259072000023, -23, 104),
+                (0, 11737289719642309061762199602547, -121, 104),
+                (0, 1733614459111027, -66, 51),
+            ),
+        ),
+        (
+            lambda: _degree_sum([2, 1], 8, lg_roots(2, 4, 12)),  # (3,4;1), noise bound 0.0917
+            ((1, 1023, -3, 10), (0, 0, 0, 0), (0, 6044441374106861, -52, 53)),
+        ),
+        (
+            lambda: _degree_sum(list(range(10, 1, -1)), 10, lg_roots(9, 10, 80)),  # (1..9;1)
+            (
+                (0, 1125899906842623999999981, -50, 80),
+                (0, 682292555636748337391963, -123, 80),
+                (0, 4165883002965921, -93, 52),
+            ),
+        ),
+        (
+            # noise bound 2.49
+            lambda: _correlator_sum(CorrelatorSpec((8, 0), 2, 2), lg_roots(2, 4, 8)),
+            ((1, 1, 7, 1), (0, 0, 0, 0), (0, 5318394990142009, -47, 53)),
+        ),
+        (
+            lambda: _correlator_sum(CorrelatorSpec((6, 1, 0, 4), 4, 4), lg_roots(4, 8, 53)),
+            ((0, 5, 13, 3), (0, 1323, -46, 11), (0, 1213029322648433, -80, 51)),
+        ),
+        (
+            lambda: _correlator_sum(CorrelatorSpec((1, 1, 1, 1, 1), 5, 3), lg_roots(5, 8, 53)),
+            (
+                (0, 4503599627370497, -36, 53),
+                (0, 5117267796480057, -91, 53),
+                (0, 1154361272017785, -79, 51),
+            ),
+        ),
+        (
+            lambda: _correlator_sum(
+                CorrelatorSpec((25, 0, 0, 0, 0), 5, 5), lg_roots(5, 10, 80)
+            ),
+            (
+                (0, 150570605526122495999997, -31, 77),
+                (0, 148855294251965139231455, -106, 77),
+                (0, 293368334644605, -73, 49),
+            ),
+        ),
+    ],
+    ids=[
+        "degree-6,7,8,9,10;2@104",
+        "degree-3,4;1@12",
+        "degree-1..9;1@80",
+        "correlator-8,0@8",
+        "correlator-6,1,0,4@53",
+        "correlator-1,1,1,1,1@53",
+        "correlator-25,0,0,0,0@80",
+    ],
+)
+def test_subset_sums_are_pinned(subset_sum, want):
+    # every bit of the unscaled sum and of its rounding bound, as (sign, mantissa,
+    # exponent, bit count); the refusals in the golden file hang on these
+    total, bound = subset_sum()
+    assert (total.real._mpf_, total.imag._mpf_, bound._mpf_) == want
+
+
 def test_correlator_spec_infers_order():
     spec = CorrelatorSpec.from_powers((8, 0), 2, 2)
     assert spec.q == 1
@@ -400,16 +515,17 @@ def test_vi_correlator_values(powers, m, p, expected):
 
 
 def test_correlator_of_hyperplane_powers_is_the_degree():
-    # <sigma_1^dim> over the order-q space equals its embedding degree
-    for m in (1, 2):
-        for p in (1, 2, 3):
+    # <sigma_1^dim> over the order-q space equals its embedding degree, here
+    # against the closed form, which shares nothing with the fixed-point sum
+    for m in range(1, 5):
+        for p in range(1, 5):
             n = m + p
-            for q in (0, 1):
+            for q in range(4):
                 dim = m * p + n * q
                 powers = (dim,) + (0,) * (m - 1)
                 spec = CorrelatorSpec.from_powers(powers, m, p)
                 assert spec.q == q
-                assert vi_correlator(spec).value == quot_degree(m, p, q)
+                assert vi_correlator(spec, precision=80).value == top_degree(m, p, q)
 
 
 def test_correlator_shares_root_systems():
