@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .indices import CompositeIndex, _decrement_tuples, _OwnTypeEquality, _require_window
-from .indices import dimension
+from .indices import check_lower_set, dimension
 
 DEFAULT_CHAIN_CAP = 100_000
 DEFAULT_BRUTEFORCE_BOUND = 10
@@ -33,9 +33,11 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     """Number of saturated chains from (1, ..., m) up to alpha.
 
     Pass a dict as `memo` to reuse partial counts across calls; keys are
-    (entries, n) so one table can serve several periods.
+    (entries, n) so one table can serve several periods.  A lower set too
+    large to walk is refused up front (indices.check_lower_set).
     """
     _require_window(alpha)
+    check_lower_set(alpha.entries, alpha.n)
     if memo is None:
         memo = {}
     n = alpha.n

@@ -17,7 +17,7 @@ outside the region is on the boundary and reads 0.
 
 from __future__ import annotations
 
-from .indices import SchubertSymbol, schubert_to_composite
+from .indices import SchubertSymbol, check_lower_set, schubert_to_composite
 
 
 class RecurrenceTable:
@@ -71,7 +71,8 @@ class RecurrenceTable:
         return out
 
     def degree(self, entries: tuple[int, ...]) -> int:
-        """Recurrence value at `entries`; 0 for any boundary or outside probe."""
+        """Recurrence value at `entries`; 0 for any boundary or outside probe.
+        A box too large to fill is refused up front (indices.check_lower_set)."""
         t = tuple(int(x) for x in entries)
         if len(t) != self.m:
             raise ValueError(f"expected {self.m} entries, got {t}")
@@ -80,6 +81,7 @@ class RecurrenceTable:
             return pinned
         if t in self.values:
             return self.values[t]
+        check_lower_set(t, self.n)
         values, bottom = self.values, self._bottom
         for cur in self._box(t):
             if cur in values:

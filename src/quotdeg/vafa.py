@@ -39,9 +39,16 @@ The power-sum determinant at the bottom of the formulas is computed
 exactly over the integers, giving an arithmetic-free consistency anchor
 for the floating-point paths.
 
-mpmath and fractions are imported inside the functions that compute with
-them, so importing this module (and the package) loads neither; only a
-run that reaches a fixed-point sum or the power-sum determinant pays.
+The arithmetic is mpmath's kernel alone, the mpmath.libmp subpackage, on
+its raw numbers: a real is a (sign, mantissa, exponent, bit count) tuple
+and a complex number a (real, imag) pair of them.  _kernel loads libmp
+from mpmath's directory as the private package quotdeg._libmp, on the first
+sum, so mpmath/__init__ (its contexts, function library and docs) never
+runs.  Each operation calls the kernel function that mpmath's own context
+calls for it, with the same precision and round-to-nearest, so every bit
+is the one mpmath would compute.  Importing this module loads neither the
+kernel nor fractions; only a run that reaches a fixed-point sum or the
+power-sum determinant pays.
 """
 
 from __future__ import annotations
@@ -59,6 +66,54 @@ DEFAULT_TOLERANCE = 1e-6
 # Error bounds are evaluated at 53 bits and widened by this factor, which
 # covers their own roundings.
 _BOUND_SLACK = 1 + 2**-40
+
+
+@functools.cache
+def _kernel():
+    """mpmath.libmp, loaded once from mpmath's directory as quotdeg._libmp.
+
+    libmp imports nothing from the rest of mpmath, so running its own
+    __init__ as a package of ours gives the whole kernel without
+    mpmath/__init__.  There is no other way in: no option and no fallback
+    to importing mpmath.
+    """
+    import importlib.util
+    import os
+    import sys
+
+    mpmath = importlib.util.find_spec("mpmath")
+    if mpmath is None:
+        raise ModuleNotFoundError("the fixed-point sums need mpmath", name="mpmath")
+    where = os.path.join(mpmath.submodule_search_locations[0], "libmp")
+    name = f"{__package__}._libmp"
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(where, "__init__.py"), submodule_search_locations=[where]
+    )
+    kernel = importlib.util.module_from_spec(spec)
+    sys.modules[name] = kernel  # its relative imports resolve through this entry
+    spec.loader.exec_module(kernel)
+    return kernel
+
+
+class _Real:
+    """A kernel real handed to callers.  `_mpf_` is its raw tuple, the
+    attribute mpmath reads, so mpmath takes it wherever it takes an mpf."""
+
+    __slots__ = ("_mpf_",)
+
+    def __init__(self, raw):
+        self._mpf_ = raw
+
+
+class _Complex(namedtuple("_Complex", "real imag")):
+    """A kernel complex number handed to callers, as two _Real parts; mpmath
+    reads `_mpc_` as it reads an mpc's."""
+
+    __slots__ = ()
+
+    @property
+    def _mpc_(self):
+        return self.real._mpf_, self.imag._mpf_
 
 
 class ToleranceError(ArithmeticError):
@@ -88,9 +143,12 @@ class NumericResult(
 class LGRootSystem(_OwnTypeEquality, namedtuple("LGRootSystem", "m n precision powers")):
     """The n roots of z^n + (-1)^m = 0 at a fixed working precision.
 
-    `powers` is zeta^r for r in range(2n), zeta = e^(i pi/n).  Root k is
-    zeta^(2k) for odd m and zeta^(2k+1) for even m, so `roots` is every
-    other entry of that one table.  An immutable named tuple.
+    `powers` is zeta^r for r in range(2n), zeta = e^(i pi/n), each a raw
+    kernel complex number: a (real, imag) pair of (sign, mantissa, exponent,
+    bit count) tuples, as in mpmath's mpc._mpc_ (mpmath.mp.make_mpc turns
+    one into an mpc).  Root k is zeta^(2k) for odd m and zeta^(2k+1) for
+    even m, so `roots` is every other entry of that one table.  An
+    immutable named tuple.
     """
 
     __slots__ = ()
@@ -100,20 +158,30 @@ class LGRootSystem(_OwnTypeEquality, namedtuple("LGRootSystem", "m n precision p
         return self.powers[1 - self.m % 2 :: 2]
 
 
+def _zeta_table(n: int, prec: int) -> tuple:
+    # zeta^r for r in range(2n) as mp.expjpi(mpf(r) / n) computes it at prec bits
+    lib = _kernel()
+    rnd = lib.round_nearest
+    return tuple(
+        lib.mpc_expjpi(
+            (lib.mpf_div(lib.mpf_pos(lib.from_int(r), prec, rnd), lib.from_int(n), prec, rnd),
+             lib.fzero),
+            prec, rnd,
+        )
+        for r in range(2 * n)
+    )
+
+
 def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem:
     """Roots of z^n = (-1)^(m+1): the n-th roots of unity for odd m,
     rotated by a half step for even m."""
-    from mpmath import mp, mpf, workprec
-
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if precision < 4:
         raise ValueError(f"precision must be at least 4 bits, got {precision}")
-    with workprec(precision):
-        powers = tuple(mp.expjpi(mpf(r) / n) for r in range(2 * n))
-    return LGRootSystem(m, n, precision, powers)
+    return LGRootSystem(m, n, precision, _zeta_table(n, precision))
 
 
 def _det(rows):
@@ -226,28 +294,33 @@ def _finalize(
     below the tolerance (and so below 1/2) pins that integer; above it, a
     residual that looks small certifies nothing.
     """
-    from mpmath import mp, mpf, workprec
-
-    with workprec(precision):
-        total = subset_sum * (-1) ** (m * (m - 1) // 2) / mpf(n) ** m
-        rounded = int(mp.nint(total.real))
-        residual = float(abs(total - rounded))
-    with workprec(53):
-        # the division and the rounding of n^m move total by < 2u|total|, so
-        # a value of 2^(precision - 1) or more never passes
-        noise = (bound / n**m + mpf(2) ** (2 - precision) * abs(total)) * _BOUND_SLACK
-    if noise > tolerance:
+    lib = _kernel()
+    rnd = lib.round_nearest
+    scale = lib.mpf_pow_int(lib.mpf_pos(lib.from_int(n), precision, rnd), m, precision, rnd)
+    signed = lib.mpc_mul_int(subset_sum._mpc_, (-1) ** (m * (m - 1) // 2), precision, rnd)
+    total = lib.mpc_div_mpf(signed, scale, precision, rnd)
+    rounded = int(lib.to_int(lib.mpf_nint(total[0], precision, rnd)))
+    off = lib.mpc_sub_mpf(total, lib.from_int(rounded), precision, rnd)
+    residual = lib.to_float(lib.mpc_abs(off, precision, rnd), rnd=rnd)
+    # the division and the rounding of n^m move total by < 2u|total|, so
+    # a value of 2^(precision - 1) or more never passes
+    two_u = lib.mpf_pow_int(lib.from_int(2), 2 - precision, 53, rnd)
+    spread = lib.mpf_mul(two_u, lib.mpc_abs(total, 53, rnd), 53, rnd)
+    noise = lib.mpf_add(lib.mpf_div(bound._mpf_, lib.from_int(n**m), 53, rnd), spread, 53, rnd)
+    noise = lib.mpf_mul(noise, lib.from_float(_BOUND_SLACK), 53, rnd)
+    if lib.mpf_gt(noise, lib.from_float(tolerance)):
         raise ToleranceError(
-            f"noise bound {mp.nstr(noise, 3)} exceeds the tolerance {tolerance}; "
+            f"noise bound {lib.to_str(noise, 3)} exceeds the tolerance {tolerance}; "
             "raise the precision"
         )
-    imag = float(abs(total.imag))
+    raw = lib.mpc_to_complex(total, rnd=rnd)
+    imag = lib.to_float(lib.mpf_abs(total[1], 53, rnd), rnd=rnd)
     if residual > tolerance or imag > tolerance:
         raise ToleranceError(
-            f"sum {complex(total)} is not within {tolerance} of an integer "
+            f"sum {raw} is not within {tolerance} of an integer "
             f"(residual {residual}, imaginary part {imag})"
         )
-    return NumericResult(rounded, complex(total), residual, imag, precision, tolerance)
+    return NumericResult(rounded, raw, residual, imag, precision, tolerance)
 
 
 def _product_error(value, factors, roundings: int, precision: int):
@@ -262,30 +335,36 @@ def _product_error(value, factors, roundings: int, precision: int):
     that is at most |value| expm1(L), L = u (sum a d / |x~| + 1.05 k), where
     1.05 k also covers |value| >= prod |x~|^a (1 - u/2)^k; so each factor
     keeps its own relative error, and L <= 1 gives expm1(L) <= L(1 + L).
-    Otherwise the first product alone is the bound.
+    Otherwise the first product alone is the bound.  Both are evaluated at
+    53 bits.
     """
-    from mpmath import mp, workprec
-
+    lib = _kernel()
+    rnd = lib.round_nearest
+    mul, add, slack = lib.mpf_mul, lib.mpf_add, lib.from_float(_BOUND_SLACK)
     factors = [(x, d, a) for x, d, a in factors if a]
-    mags = [abs(complex(x)) for x, _, _ in factors]
+    mags = [abs(lib.mpc_to_complex(x, rnd=rnd)) for x, _, _ in factors]
     if min(mags, default=1) > 1e-300:  # normal floats, so each is within 2^-52
         relative = sum(a * d / mag for mag, (_, d, a) in zip(mags, factors)) * (1 + 2**-50)
-        with workprec(53):
-            lam = mp.ldexp(relative + 1.05 * roundings, 1 - precision)
-            if lam <= 1:
-                return abs(value) * lam * (1 + lam) * _BOUND_SLACK
-    with workprec(53):
-        u = mp.ldexp(1, 1 - precision)
-        bound = mp.exp(roundings * u / 2)
-        for x, d, a in factors:
-            bound *= (abs(x) * (1 + 2**-50) + d * u) ** a
-        return bound * _BOUND_SLACK
+        lam = lib.mpf_shift(lib.from_float(relative + 1.05 * roundings), 1 - precision)
+        if lib.mpf_le(lam, lib.fone):
+            bound = mul(lib.mpc_abs(value, 53, rnd), lam, 53, rnd)
+            bound = mul(bound, add(lam, lib.fone, 53, rnd), 53, rnd)
+            return mul(bound, slack, 53, rnd)
+    u = lib.mpf_shift(lib.fone, 1 - precision)
+    half_ku = lib.mpf_div(lib.mpf_mul_int(u, roundings, 53, rnd), lib.from_int(2), 53, rnd)
+    bound = lib.mpf_exp(half_ku, 53, rnd)
+    widen = lib.from_float(1 + 2**-50)
+    for x, d, a in factors:
+        modulus = mul(lib.mpc_abs(x, 53, rnd), widen, 53, rnd)
+        factor = add(modulus, mul(u, lib.from_float(d), 53, rnd), 53, rnd)
+        bound = mul(bound, lib.mpf_pow_int(factor, a, 53, rnd), 53, rnd)
+    return mul(bound, slack, 53, rnd)
 
 
 def _orbit_sum(weighted, precision: int):
     """Compensated sum, at the working precision, of size * term over
     (size, term, error) triples, and a bound on its distance from the sum
-    of size * (exact term).
+    of size * (exact term), as a _Complex and a _Real.
 
     With y, a and comp each step's corrected input, rounded increment and
     new compensation, total - comp stays the sum of the inputs up to the
@@ -293,26 +372,30 @@ def _orbit_sum(weighted, precision: int):
     |comp| + (u/2) / (1 - u/2) * sum(|size * term| + |y| + |a| + |comp|),
     u = 2^(1 - precision).
     """
-    from mpmath import fsum, mpc, mpf, workprec
-
-    total = comp = mpc(0)
+    lib = _kernel()
+    rnd = lib.round_nearest
+    add, sub, mag = lib.mpc_add, lib.mpc_sub, lib.mpc_abs
+    total = comp = (lib.fzero, lib.fzero)
     errors, moduli = [], []
-    with workprec(precision):
-        for size, term, error in weighted:
-            w = size * term
-            y = w - comp
-            tmp = total + y
-            a = tmp - total
-            comp = a - y
-            total = tmp
-            errors.append((size, error))
-            moduli += (abs(w), abs(y), abs(a), abs(comp))
-    with workprec(53):
-        u = mpf(2) ** (1 - precision)
-        # the moduli were rounded at the working precision, hence 1 + u
-        rounding = (abs(comp) + 0.54 * u * fsum(moduli)) * (1 + u)
-        bound = (fsum(size * error for size, error in errors) + rounding) * _BOUND_SLACK
-    return total, bound
+    for size, term, error in weighted:
+        w = lib.mpc_mul_int(term, size, precision, rnd)
+        y = sub(w, comp, precision, rnd)
+        tmp = add(total, y, precision, rnd)
+        a = sub(tmp, total, precision, rnd)
+        comp = sub(a, y, precision, rnd)
+        total = tmp
+        errors.append(lib.mpf_mul_int(error, size, 53, rnd))
+        moduli += (mag(w, precision, rnd), mag(y, precision, rnd),
+                   mag(a, precision, rnd), mag(comp, precision, rnd))
+    u = lib.mpf_pow_int(lib.from_int(2), 1 - precision, 53, rnd)
+    # the moduli were rounded at the working precision, hence 1 + u
+    loop = lib.mpf_mul(lib.mpf_mul(u, lib.from_float(0.54), 53, rnd), lib.mpf_sum(moduli, 53, rnd),
+                       53, rnd)
+    loop = lib.mpf_add(mag(comp, 53, rnd), loop, 53, rnd)
+    loop = lib.mpf_mul(loop, lib.mpf_add(u, lib.fone, 53, rnd), 53, rnd)
+    bound = lib.mpf_add(lib.mpf_sum(errors, 53, rnd), loop, 53, rnd)
+    bound = lib.mpf_mul(bound, lib.from_float(_BOUND_SLACK), 53, rnd)
+    return _Complex(_Real(total[0]), _Real(total[1])), _Real(bound)
 
 
 def _rotation_orbits(n: int, m: int):
@@ -344,15 +427,14 @@ def _root_errors(powers: tuple, precision: int) -> tuple[float, ...]:
     Read off the same table built at 2 * precision + 20 bits, whose own
     error is far below the 2^-10 units added for it and for the float.
     """
-    from mpmath import mp, mpf, workprec
-
-    n = len(powers) // 2
-    with workprec(2 * precision + 20):
-        scale = mpf(2) ** (precision - 1)
-        return tuple(
-            float(abs(z - mp.expjpi(mpf(r) / n)) * scale) + 2**-10
-            for r, z in enumerate(powers)
-        )
+    lib = _kernel()
+    rnd, wp = lib.round_nearest, 2 * precision + 20
+    scale = lib.mpf_pow_int(lib.from_int(2), precision - 1, wp, rnd)
+    errors = (
+        lib.mpf_mul(lib.mpc_abs(lib.mpc_sub(z, exact, wp, rnd), wp, rnd), scale, wp, rnd)
+        for z, exact in zip(powers, _zeta_table(len(powers) // 2, wp))
+    )
+    return tuple(lib.to_float(e, rnd=rnd) + 2**-10 for e in errors)
 
 
 def _orbit_terms(m: int, sys: LGRootSystem, errs: tuple, power: int, summand):
@@ -367,26 +449,34 @@ def _orbit_terms(m: int, sys: LGRootSystem, errs: tuple, power: int, summand):
     with its other factors (x~, d, a) and roundings; the Vandermonde
     products after the first add len(diffs) roundings.
     """
-    half = 2.0**-sys.precision
+    lib = _kernel()
+    prec, rnd = sys.precision, lib.round_nearest
+    half = 2.0**-prec
     for rep, size in _rotation_orbits(sys.n, m):
         # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
         exponents = [2 * k + 1 - m % 2 for k in rep]
         qs = [sys.powers[e] for e in exponents]
         ds = [errs[e] for e in exponents]
         diffs = [
-            (qs[i] - qs[j], ds[i] + ds[j] + 1 + (ds[i] + ds[j]) * half)
+            (lib.mpc_sub(qs[i], qs[j], prec, rnd), ds[i] + ds[j] + 1 + (ds[i] + ds[j]) * half)
             for i, j in itertools.combinations(range(m), 2)
         ]
+        head = lib.mpc_one  # times 1 is exact, so Delta is the product of the diffs
+        for x, _ in diffs:
+            head = lib.mpc_mul(head, x, prec, rnd)
         term, factors, roundings = summand(
-            math.prod(x for x, _ in diffs) ** power, exponents, qs, ds
+            lib.mpc_pow_int(head, power, prec, rnd), exponents, qs, ds
         )
         factors = [(x, d, power) for x, d in diffs] + factors
-        yield size, term, _product_error(term, factors, len(diffs) + roundings, sys.precision)
+        yield size, term, _product_error(term, factors, len(diffs) + roundings, prec)
 
 
 # The largest fixed-point sum admitted, in orbits times the weight of a term.
-# On a 2-vCPU VM at 80 bits a degree's unit takes about 2 us (m = p = 8: 1.6
-# million, 2.5 s) and a correlator's about 20 us (m = 10, p = 11: 33 s).
+# A degree's term weighs 2^m m (its determinant), a correlator's 8 m^2, so
+# that a unit costs about the same in both: at 80 bits on a 2-vCPU Xeon VM
+# (Python 3.11), 0.6-0.9 us for degrees (m = p = 8: 1.65 million units,
+# 1.0 s; m = 12, p = 3: 1.52 million, 1.3 s) and 0.9 us for correlators
+# (m = p = 9: 1.75 million, 1.6 s).  The limit admits about 2 s of work.
 _MAX_WORK = 2 * 10**6
 
 
@@ -415,24 +505,33 @@ def _degree_sum(lams, exponent: int, sys: LGRootSystem):
     """The degree's subset sum and its error bound.  The summand is
     det[q_i ^ lam_j] * (sum q)^E, lam_j = n + 1 - c_j; the term's weight
     m(m-1)/2 + sum lam_j + E = mn + nd is a multiple of n."""
-    from mpmath import mp
-
-    errs = _root_errors(sys.powers, sys.precision)
+    lib = _kernel()
+    prec, rnd = sys.precision, lib.round_nearest
+    errs = _root_errors(sys.powers, prec)
 
     def summand(head, exponents, qs, ds):
         coeffs = _det_coefficients(exponents, lams, sys.n)
-        det = mp.fdot(zip(coeffs, sys.powers))
+        # the dot product sum_r c_r zeta^r as mp.fdot takes it: exact
+        # products, one rounding per part
+        det = tuple(
+            lib.mpf_sum([lib.mpf_mul(lib.from_int(c), z[part]) for c, z in zip(coeffs, sys.powers)],
+                        prec, rnd)
+            for part in (0, 1)
+        )
         s, s_err = qs[0], ds[0]
         for q, d in zip(qs[1:], ds[1:]):
-            s = s + q
+            s = lib.mpc_add(s, q, prec, rnd)
             # rounding moves the partial sum by 2^-precision of its exact modulus,
             # at most 0.54 u of the computed one
-            s_err += d + abs(complex(s)) * 0.54
+            s_err += d + abs(lib.mpc_to_complex(s, rnd=rnd)) * 0.54
         factors = [(det, sum(abs(c) * d for c, d in zip(coeffs, errs)), 1), (s, s_err, exponent)]
+        term = lib.mpc_mul(
+            lib.mpc_mul(head, det, prec, rnd), lib.mpc_pow_int(s, exponent, prec, rnd), prec, rnd
+        )
         # the dot product, E for the power and the two joining products
-        return head * det * s**exponent, factors, exponent + 2
+        return term, factors, exponent + 2
 
-    return _orbit_sum(_orbit_terms(len(lams), sys, errs, 1, summand), sys.precision)
+    return _orbit_sum(_orbit_terms(len(lams), sys, errs, 1, summand), prec)
 
 
 def vi_degree(
@@ -499,13 +598,14 @@ class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p 
         return cls(powers, m, p)
 
 
-def _elementary_all(qs):
+def _elementary_all(qs, precision: int):
     # e_0..e_m of the subset via incremental expansion of prod(1 + q_i t)
-    from mpmath import mpc
-    e = [mpc(1)] + [mpc(0)] * len(qs)
+    lib = _kernel()
+    rnd = lib.round_nearest
+    e = [lib.mpc_one] + [(lib.fzero, lib.fzero)] * len(qs)
     for idx, q in enumerate(qs, start=1):
         for k in range(idx, 0, -1):
-            e[k] = e[k] + q * e[k - 1]
+            e[k] = lib.mpc_add(e[k], lib.mpc_mul(q, e[k - 1], precision, rnd), precision, rnd)
     return e
 
 
@@ -535,21 +635,22 @@ def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
     """The correlator's subset sum and its error bound: one term
     Delta^2 * e_m * prod e_l(q)^a_l per rotation orbit of the roots
     (weight m(m-1) + m + sum l a_l = mn + nq)."""
-    m, precision = spec.m, sys.precision
-    errs = _root_errors(sys.powers, precision)
-    elementary = _elementary_errors(m, max(errs[1 - m % 2 :: 2]), precision)
+    lib = _kernel()
+    m, prec, rnd = spec.m, sys.precision, lib.round_nearest
+    errs = _root_errors(sys.powers, prec)
+    elementary = _elementary_errors(m, max(errs[1 - m % 2 :: 2]), prec)
 
     def summand(head, exponents, qs, ds):
-        e = _elementary_all(qs)
-        term, factors, roundings = head * e[m], [(e[m], elementary[m], 1)], 1
+        e = _elementary_all(qs, prec)
+        term, factors, roundings = lib.mpc_mul(head, e[m], prec, rnd), [(e[m], elementary[m], 1)], 1
         for l, a in enumerate(spec.powers, start=1):
             if a:
-                term = term * e[l] ** a
+                term = lib.mpc_mul(term, lib.mpc_pow_int(e[l], a, prec, rnd), prec, rnd)
                 factors.append((e[l], elementary[l], a))
                 roundings += a + 1
         return term, factors, roundings
 
-    return _orbit_sum(_orbit_terms(m, sys, errs, 2, summand), precision)
+    return _orbit_sum(_orbit_terms(m, sys, errs, 2, summand), prec)
 
 
 def vi_correlator(
@@ -564,6 +665,6 @@ def vi_correlator(
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
     return _fixed_point(
-        lambda sys: _correlator_sum(spec, sys),  # e_0..e_m and Delta take about m^2 steps
-        spec.m, spec.m + spec.p, spec.m**2, precision, tolerance, roots,
+        lambda sys: _correlator_sum(spec, sys),  # e_0..e_m, Delta and their bounds
+        spec.m, spec.m + spec.p, 8 * spec.m**2, precision, tolerance, roots,
     )

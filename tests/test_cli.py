@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import quotdeg
 from quotdeg.cli import main
-from quotdeg.recurrence_degree import quot_degree
+from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +195,32 @@ def test_oversized_fixed_point_sum_exits_one_at_once(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.startswith("quotdeg: error: fixed-point sum too large: an estimated ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "--m", "30", "--p", "30", "--q", "0"),
+        ("degree", "--m", "30", "--p", "30", "--q", "0", "--method", "recurrence"),
+        ("table", "--m", "30", "--p", "30", "--max-q", "0"),
+    ],
+    ids=["degree", "degree-recurrence", "table"],
+)
+def test_oversized_lower_set_exits_one_at_once(capsys, monkeypatch, argv):
+    # 31 * C(59, 29) tuples could lie below (31, ..., 60): refused from the
+    # top index alone, so neither the chain walk nor the box fill starts
+    import quotdeg.chain_degree as chain_degree
+
+    monkeypatch.setattr(chain_degree, "_decrement_tuples", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith(
+        f"quotdeg: error: lower set too large: an estimated {31 * math.comb(59, 29)} tuples"
+    )
+    assert err.rstrip().endswith("exceed the limit 1000000")
 
 
 def test_degree_tolerance_failure_exits_four(capsys):
@@ -423,7 +450,10 @@ from quotdeg.cli import main
 def loaded(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0, argv
-    return sorted({"mpmath", "fractions"} & set(sys.modules))
+    return sorted(
+        name for name in sys.modules
+        if name == "fractions" or name.partition(".")[0] == "mpmath" or name == "quotdeg._libmp"
+    )
 
 print(json.dumps([
     loaded("degree --m 3 --p 3 --q 4 --method chain"),
@@ -444,7 +474,8 @@ def test_integer_commands_never_load_the_float_stack():
     assert proc.returncode == 0, proc.stderr
     *integer, vi = json.loads(proc.stdout)
     assert integer == [[], [], [], []]
-    assert "mpmath" in vi
+    # the sum runs on mpmath's kernel alone, loaded without mpmath/__init__
+    assert vi == ["quotdeg._libmp"]
 
 
 LEAN_IMPORT_PROBE = """

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from quotdeg.indices import (
     SchubertSymbol,
     _merged_prefix,
     bottom_index,
+    check_lower_set,
     composite_to_schubert,
     covers,
     dimension,
@@ -261,3 +263,25 @@ def test_cover_soundness_small():
             for c in pool
         )
         assert covers(a, b) == (not between)
+
+
+def test_lower_set_estimate_bounds_the_lower_set():
+    # a first entry up to top[0], then m - 1 more among the n - 1 values after it
+    for n in range(2, 7):
+        for m in range(1, n):
+            for q in range(3):
+                cols = tuple(range(n - m + 1, n + 1))
+                top = schubert_to_composite(SchubertSymbol(cols, q), n).entries
+                estimate = top[0] * math.comb(n - 1, m - 1)
+                assert len(windowed_lower_set(top, n)) <= estimate
+                check_lower_set(top, n)  # far below the limit
+
+
+def test_lower_set_limit_is_a_fixed_constant():
+    check_lower_set((10**6,), 2)  # estimate 10^6 * C(1, 0), exactly the limit
+    with pytest.raises(ValueError, match="estimated 1000001 tuples .* exceed the limit 1000000"):
+        check_lower_set((10**6 + 1,), 2)
+    # (8,7,6), the largest box the benchmark and CI fill: 48,048 against 45,045 real
+    top = schubert_to_composite(SchubertSymbol(tuple(range(8, 16)), 6), 15).entries
+    assert top[0] * math.comb(14, 7) == 48048
+    check_lower_set(top, 15)

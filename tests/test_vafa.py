@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -53,7 +54,7 @@ def test_roots_satisfy_defining_equation():
             assert len(sys.roots) == n
             assert len(set(sys.roots)) == n
             target = (-1) ** (m + 1)
-            for q in sys.roots:
+            for q in map(mp.make_mpc, sys.roots):
                 assert abs(abs(q) - 1) < 1e-12
                 assert abs(q**n - target) < 1e-10
 
@@ -83,7 +84,7 @@ def test_zeta_table_entries_are_the_roots_bit_for_bit():
                 assert len(sys.powers) == 2 * n
                 with workprec(precision):
                     direct = [mp.expjpi(mpf(2 * k + parity) / n) for k in range(n)]
-                assert [q._mpc_ for q in sys.roots] == [q._mpc_ for q in direct]
+                assert list(sys.roots) == [q._mpc_ for q in direct]
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,10 +98,11 @@ def test_exponent_det_matches_leibniz_over_root_powers(data):
     )
     lams = [parts[j] + m - j for j in range(m)]
     sys = lg_roots(m, n, precision=200)
+    roots = [mp.make_mpc(q) for q in sys.roots]
     with workprec(200):
         coeffs = _det_coefficients([2 * k + 1 - m % 2 for k in ks], lams, n)
-        got = mp.fdot(zip(coeffs, sys.powers))
-        want = leibniz_det([[sys.roots[k] ** lam for lam in lams] for k in ks])
+        got = mp.fdot(zip(coeffs, map(mp.make_mpc, sys.powers)))
+        want = leibniz_det([[roots[k] ** lam for lam in lams] for k in ks])
         # every Leibniz term has modulus 1, so m! is the scale of the sum
         assert abs(got - want) <= mpf(2) ** -150 * math.factorial(m)
 
@@ -163,7 +165,7 @@ def test_power_sum_matches_roots_numerically():
         for n in (2, 3, 4, 5):
             sys = lg_roots(m, n)
             for k in range(0, 2 * n + 1):
-                direct = sum(q**k for q in sys.roots)
+                direct = sum(mp.make_mpc(q) ** k for q in sys.roots)
                 assert abs(direct - power_sum(k, m, n)) < 1e-9
 
 
@@ -279,10 +281,16 @@ def test_vi_sums_refuse_mismatched_roots(top):
         (
             lambda: vi_correlator(CorrelatorSpec.from_powers((900,) + (0,) * 29, 30, 30)),
             -(-math.comb(60, 30) // 60),
-            30**2,
+            8 * 30**2,
+        ),
+        # the hyperplane correlator admitted, at 11-33 s, while a term weighed m^2
+        (
+            lambda: vi_correlator(CorrelatorSpec.from_powers((110,) + (0,) * 9, 10, 11)),
+            16796,
+            8 * 10**2,
         ),
     ],
-    ids=["degree-30,30", "degree-9,9", "correlator-30,30"],
+    ids=["degree-30,30", "degree-9,9", "correlator-30,30", "correlator-10,11"],
 )
 def test_oversized_sums_are_refused_before_any_work(request_sum, orbits, weight, monkeypatch):
     import quotdeg.vafa as vafa
@@ -295,6 +303,22 @@ def test_oversized_sums_are_refused_before_any_work(request_sum, orbits, weight,
     assert time.perf_counter() - start < 1
     assert f"estimated {orbits * weight} units" in str(refusal.value)
     assert f"limit {vafa._MAX_WORK}" in str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "powers,m,p,precision",
+    [
+        ((8, 0), 2, 2, 53),
+        ((0, 6), 2, 2, 53),
+        ((6, 1, 0, 4), 4, 4, 53),
+        ((1, 1, 1, 1, 1), 5, 3, 53),
+        ((25, 0, 0, 0, 0), 5, 5, 80),
+    ],
+)
+def test_benchmark_and_ci_correlators_are_admitted(powers, m, p, precision):
+    # every correlator the benchmark decks and CI request, at its rung
+    spec = CorrelatorSpec.from_powers(powers, m, p)
+    assert vi_correlator(spec, precision=precision).precision == precision
 
 
 def test_vi_degree_precision_sharpens_residual():
@@ -478,6 +502,45 @@ def test_subset_sums_are_pinned(subset_sum, want):
     assert (total.real._mpf_, total.imag._mpf_, bound._mpf_) == want
 
 
+def _power_vectors(m, weight):
+    # every (a_1..a_m) >= 0 with sum l * a_l = weight
+    if m == 0:
+        if weight == 0:
+            yield ()
+        return
+    for top in range(weight // m + 1):
+        for rest in _power_vectors(m - 1, weight - m * top):
+            yield rest + (top,)
+
+
+def _grid_sums():
+    for n in range(2, 7):
+        for m in range(1, n):
+            for precision in (8, 24, 53, 104):
+                roots = lg_roots(m, n, precision)
+                for cols, d in valid_symbols(m, n - m, 2 * n):
+                    exponent = symbol_dimension(SchubertSymbol(cols, d), n)
+                    yield _degree_sum([n + 1 - c for c in cols], exponent, roots)
+                for q in (0, 1):
+                    for powers in _power_vectors(m, m * (n - m) + n * q):
+                        yield _correlator_sum(CorrelatorSpec(powers, m, n - m), roots)
+
+
+def test_subset_sums_on_a_grid_are_pinned():
+    # every bit of every sum and bound over the grid, as the sha256 of their
+    # (sign, mantissa, exponent, bit count) tuples; the mantissa goes through
+    # int so that a gmpy backend hashes the same
+    digest = hashlib.sha256()
+    count = 0
+    for total, bound in _grid_sums():
+        bits = [tuple(int(x) for x in v._mpf_) for v in (total.real, total.imag, bound)]
+        digest.update(repr(bits).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == (
+        1924, "b4d4f405df179be4b0d8906c55feebd35edfd33f3ddbce1768e699f08fd44a63"
+    )
+
+
 def test_correlator_spec_infers_order():
     spec = CorrelatorSpec.from_powers((8, 0), 2, 2)
     assert spec.q == 1
@@ -555,9 +618,11 @@ def _differences_product(qs):
 
 
 def _reference_degree_sum(lams, exponent, m, sys):
+    powers = [mp.make_mpc(z) for z in sys.powers]
+
     def term(exponents):
-        qs = [sys.powers[e] for e in exponents]
-        det = mp.fdot(zip(_det_coefficients(exponents, lams, sys.n), sys.powers))
+        qs = [powers[e] for e in exponents]
+        det = mp.fdot(zip(_det_coefficients(exponents, lams, sys.n), powers))
         return _differences_product(qs) * det * sum(qs[1:], qs[0]) ** exponent
 
     return _all_subsets_sum(m, sys, term)
@@ -566,8 +631,8 @@ def _reference_degree_sum(lams, exponent, m, sys):
 def _reference_correlator_sum(spec, sys):
     def term(exponents):
         qs = [sys.powers[e] for e in exponents]
-        e = _elementary_all(qs)
-        value = _differences_product(qs) ** 2 * e[spec.m]
+        e = [mp.make_mpc(x) for x in _elementary_all(qs, sys.precision)]
+        value = _differences_product(map(mp.make_mpc, qs)) ** 2 * e[spec.m]
         for l, a in enumerate(spec.powers, start=1):
             value = value * e[l] ** a
         return value
@@ -653,7 +718,7 @@ def test_root_errors_bound_the_table():
             with workprec(4 * precision + 40):
                 for r, z in enumerate(sys.powers):
                     exact = mp.expjpi(mpf(r) / n)
-                    assert abs(z - exact) <= errs[r] * mpf(2) ** (1 - precision)
+                    assert abs(mp.make_mpc(z) - exact) <= errs[r] * mpf(2) ** (1 - precision)
             # within pi + sqrt 2 (or 3 pi + sqrt 2, once r needs more bits) of 2^-precision
             assert max(errs) <= (2.3 if 2 * n <= 2**precision else 5.5)
 
@@ -668,13 +733,13 @@ def test_elementary_errors_bound_the_computed_e():
                 bounds = _elementary_errors(m, max(errs), precision)
                 exact_roots = lg_roots(m, n, 4 * precision + 40).roots
                 for subset in itertools.combinations(range(n), m):
-                    with workprec(precision):
-                        got = _elementary_all([sys.roots[k] for k in subset])
+                    got = _elementary_all([sys.roots[k] for k in subset], precision)
+                    want = _elementary_all([exact_roots[k] for k in subset], 4 * precision + 40)
                     with workprec(4 * precision + 40):
-                        want = _elementary_all([exact_roots[k] for k in subset])
                         unit = mpf(2) ** (1 - precision)
                         for l in range(m + 1):
-                            assert abs(got[l] - want[l]) <= bounds[l] * unit
+                            error = abs(mp.make_mpc(got[l]) - mp.make_mpc(want[l]))
+                            assert error <= bounds[l] * unit
 
 
 def test_low_precision_sweep_prints_no_wrong_integer():
