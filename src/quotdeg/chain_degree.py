@@ -4,9 +4,12 @@ The degree of the subvariety named by a windowed index alpha equals the
 number of maximal chains in the componentwise order below alpha.  Every
 cover step decrements a single entry, so the count satisfies a sum over
 lower covers; degree_chain evaluates that sum in a single iterative
-post-order walk down from alpha (each tuple's decrements are generated
-once, the stack holds only the current path, and there is no recursion
-depth limit), enumerate_chains lists the chains themselves by a plain
+post-order walk down from alpha (each tuple's covers are generated once,
+the stack holds only the current path, and there is no recursion depth
+limit).  The walk sees a tuple as one int, its cell: the first entry f
+above n bits that mark each entry's offset a - f.  Moving an entry at
+offset o >= 1 down to a free o - 1 is one subtraction, of 2^(o-1), and no
+tuple is built.  enumerate_chains lists the chains themselves by a plain
 depth-first walk upward from the bottom, and degree_bruteforce counts every
 path of that upward walk, sharing no code with degree_chain's walk.
 
@@ -20,20 +23,37 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .indices import CompositeIndex, _decrement_tuples, _OwnTypeEquality, _require_window
+from .indices import CompositeIndex, _OwnTypeEquality, _require_window
 from .indices import check_lower_set, dimension
 
 DEFAULT_CHAIN_CAP = 100_000
 DEFAULT_BRUTEFORCE_BOUND = 10
 
-MemoTable = dict[tuple[tuple[int, ...], int], int]
+MemoTable = dict[tuple[int, int], int]
+
+
+def _lower_cells(cell: int, n: int) -> list[tuple[int, int]]:
+    # memo keys (cover, n) of the lower covers of a cell: the first entry
+    # while it stays >= 1 and the span under n (every offset moves up one),
+    # then each other entry with a free place below it
+    offsets = cell & ((1 << n) - 1)
+    out = []
+    if cell >> n > 1 and offsets < 1 << (n - 1):
+        out.append((cell - (1 << n) + offsets - 1, n))
+    movable = (offsets & ~(offsets << 1)) ^ 1
+    while movable:
+        bit = movable & -movable
+        out.append((cell - (bit >> 1), n))
+        movable ^= bit
+    return out
 
 
 def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     """Number of saturated chains from (1, ..., m) up to alpha.
 
     Pass a dict as `memo` to reuse partial counts across calls; keys are
-    (entries, n) so one table can serve several periods.  A lower set too
+    (cell, n), cell = entries[0] * 2^n + sum(2^(a - entries[0]) for a in
+    entries), so one table can serve several periods.  A lower set too
     large to walk is refused up front (indices.check_lower_set).
     """
     _require_window(alpha)
@@ -41,26 +61,30 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     if memo is None:
         memo = {}
     n = alpha.n
-    key = (alpha.entries, n)
+    first = alpha.entries[0]
+    key = ((first << n) + sum(1 << (a - first) for a in alpha.entries), n)
     if key in memo:
         return memo[key]
-    bottom = tuple(range(1, alpha.m + 1))
+    bottom = ((1 << n) + (1 << alpha.m) - 1, n)
 
-    # one post-order walk: a frame is summed once every decrement has a memo
-    # entry; the stack holds only the current path down from alpha
-    stack = [(alpha.entries, _decrement_tuples(alpha.entries, n))]
+    # one post-order walk: a frame is summed once every cover has a memo
+    # entry; the stack holds only the current path down from alpha, and a
+    # frame resumes after the cover it last descended into
+    covers = _lower_cells(key[0], n)
+    stack = [(key, covers, iter(covers))]
     while stack:
-        cur, decs = stack[-1]
-        for dec in decs:
-            if (dec, n) not in memo:
-                if dec == bottom:
-                    memo[(dec, n)] = 1
+        cur, covers, rest = stack[-1]
+        for cover in rest:
+            if cover not in memo:
+                if cover == bottom:
+                    memo[cover] = 1
                 else:
-                    stack.append((dec, _decrement_tuples(dec, n)))
+                    below = _lower_cells(cover[0], n)
+                    stack.append((cover, below, iter(below)))
                     break
         else:
             stack.pop()
-            memo[(cur, n)] = 1 if cur == bottom else sum(memo[(dec, n)] for dec in decs)
+            memo[cur] = 1 if cur == bottom else sum(map(memo.__getitem__, covers))
     return memo[key]
 
 

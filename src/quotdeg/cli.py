@@ -255,7 +255,12 @@ def cmd_chains(args) -> int:
         raise InvalidIndexError(f"--cap must be positive, got {args.cap}")
     _alpha_symbol(alpha)
     enum = enumerate_chains(alpha, cap=args.cap)
-    chain_strings = [[str(step) for step in chain] for chain in enum.chains]
+    # chains share their steps, so each distinct step is rendered once
+    names: dict = {}
+    chain_strings = [
+        [names.get(step) or names.setdefault(step, str(step)) for step in chain]
+        for chain in enum.chains
+    ]
     joined = [" -> ".join(chain) for chain in chain_strings]
     doc = {
         "command": "chains",

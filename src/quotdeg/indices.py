@@ -18,7 +18,7 @@ from collections.abc import Iterable
 # The largest lower set a chain count or a recurrence fill may visit, as
 # estimated by check_lower_set: about 20 times the largest estimate the
 # tests, CI, the benchmark decks and verify --max-n 8 --max-dim 24 reach,
-# 48,048 at (8,7,6), whose real box of 45,045 tuples takes 0.3-0.5 s.
+# 48,048 at (8,7,6), whose real box of 45,045 tuples takes 0.1-0.2 s.
 _MAX_LOWER_SET = 10**6
 
 
@@ -252,8 +252,11 @@ def check_lower_set(entries: tuple[int, ...], n: int) -> None:
         )
 
 
-def _decrement_tuples(entries: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    # single-entry decrements that stay strictly increasing, positive, in-window
+def lower_covers(alpha: CompositeIndex) -> list[CompositeIndex]:
+    """All indices alpha covers: the single-entry decrements that stay
+    strictly increasing, positive and in-window."""
+    _require_window(alpha)
+    entries, n = alpha.entries, alpha.n
     out = []
     for l, a in enumerate(entries):
         v = a - 1
@@ -262,13 +265,5 @@ def _decrement_tuples(entries: tuple[int, ...], n: int) -> list[tuple[int, ...]]
                 continue
         elif v <= entries[l - 1]:
             continue
-        out.append(entries[:l] + (v,) + entries[l + 1 :])
+        out.append(CompositeIndex(entries[:l] + (v,) + entries[l + 1 :], n))
     return out
-
-
-def lower_covers(alpha: CompositeIndex) -> list[CompositeIndex]:
-    """All indices alpha covers: the valid single-entry decrements."""
-    _require_window(alpha)
-    return [
-        CompositeIndex(t, alpha.n) for t in _decrement_tuples(alpha.entries, alpha.n)
-    ]

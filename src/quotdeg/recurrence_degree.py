@@ -5,14 +5,21 @@ strictly increasing positive tuples spanning less than one period, pinned
 by d(1, ..., m) = 1 and by zero on the boundary: a repeated entry, a
 leading entry at 0, or a span reaching the period.  This module solves
 the recurrence by dynamic programming over the box below the queried
-tuple, keeping its own bookkeeping (plain entry tuples, no index types)
-so that agreement with the chain count is a real cross-check.
+tuple, keeping its own bookkeeping (no index types) so that agreement
+with the chain count is a real cross-check.
 
-The box is filled in the lexicographic order in which it is generated.
-A single-entry decrement is lexicographically smaller than the tuple it
-came from, and when it is in the region it is also in the box, so every
-value a tuple sums is filled before the tuple is reached.  A decrement
-outside the region is on the boundary and reads 0.
+`values` is keyed by cell: the first entry f above n bits that mark each
+entry's offset a - f.  Decrementing an entry at offset o >= 1 is one
+subtraction, of 2^(o-1), when o - 1 is free; otherwise two entries meet,
+a boundary zero the fill skips.  Decrementing the first entry moves every
+offset up, cell - 2^n + offsets - 1.  The box is filled in the
+lexicographic order of its tuples.  A single-entry decrement is
+lexicographically smaller than the tuple it came from, and when it is in
+the region it is also in the box, so every value a cell sums is filled
+before the cell is reached.  Of the decrements the fill reads, only the
+first entry's can leave the region, to 0 or to a span of n (which drops
+an offset bit); neither is ever a key of `values`, so it reads 0 with no
+test.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ class RecurrenceTable:
             raise ValueError(f"period must be at least 2, got {n}")
         self.m = m
         self.n = n
-        self.values: dict[tuple[int, ...], int] = {}
+        self.values: dict[int, int] = {}
         self._bottom = tuple(range(1, m + 1))
 
     def _pinned(self, t: tuple[int, ...]) -> int | None:
-        # initial value at the bottom, then boundary zeros
+        # a query probe's initial value at the bottom, then boundary zeros
         if t == self._bottom:
             return 1
         if any(b <= a for a, b in zip(t, t[1:])):
@@ -48,27 +55,22 @@ class RecurrenceTable:
             return 0
         return None
 
-    def _box(self, top: tuple[int, ...]) -> list[tuple[int, ...]]:
-        # in-region tuples componentwise <= top, i.e. strictly increasing,
-        # positive, spanning under one period; degree relies on the output
-        # staying in lexicographic order
+    def _box(self, top: tuple[int, ...]) -> list[int]:
+        # cells of the in-region tuples componentwise <= top, i.e. strictly
+        # increasing, positive, spanning under one period, in lexicographic
+        # order (degree relies on it): extending each prefix in turn keeps
+        # it.  Entry l lies past the previous one, at most top[l], and leaves
+        # room for the m - 1 - l after it under first + n.
         m, n = self.m, self.n
-        out: list[tuple[int, ...]] = []
-
-        def rec(prefix: tuple[int, ...]) -> None:
-            l = len(prefix)
-            if l == m:
-                out.append(prefix)
-                return
-            lo = prefix[-1] + 1 if prefix else 1
-            hi = top[l]
-            if prefix:
-                hi = min(hi, prefix[0] + n - 1 - (m - 1 - l))
-            for v in range(lo, hi + 1):
-                rec(prefix + (v,))
-
-        rec(())
-        return out
+        prefixes = [((v << n) + 1, v, v) for v in range(1, top[0] + 1)]
+        for l in range(1, m):
+            room = n - m + l
+            prefixes = [
+                (cell + (1 << (v - first)), v, first)
+                for cell, last, first in prefixes
+                for v in range(last + 1, min(top[l], first + room) + 1)
+            ]
+        return [cell for cell, _, _ in prefixes]
 
     def degree(self, entries: tuple[int, ...]) -> int:
         """Recurrence value at `entries`; 0 for any boundary or outside probe.
@@ -79,24 +81,26 @@ class RecurrenceTable:
         pinned = self._pinned(t)
         if pinned is not None:
             return pinned
-        if t in self.values:
-            return self.values[t]
-        check_lower_set(t, self.n)
-        values, bottom = self.values, self._bottom
+        n, values = self.n, self.values
+        key = (t[0] << n) + sum(1 << (a - t[0]) for a in t)
+        if key in values:
+            return values[key]
+        check_lower_set(t, n)
+        # the bottom leads every box; its only decrement leaves the region
+        unit = 1 << n
+        values.setdefault(unit + (1 << self.m) - 1, 1)
         for cur in self._box(t):
             if cur in values:
                 continue
-            if cur == bottom:
-                values[cur] = 1
-            else:
-                # an in-region decrement lies in the box before cur, so it is
-                # filled; any other one is on the boundary and never in values
-                acc = 0
-                for l, a in enumerate(cur):
-                    dec = cur[:l] + (a - 1,) + cur[l + 1 :]
-                    acc += values.get(dec, 0)
-                values[cur] = acc
-        return values[t]
+            offsets = cur & (unit - 1)
+            acc = values.get(cur - unit + offsets - 1, 0)
+            movable = (offsets & ~(offsets << 1)) ^ 1
+            while movable:
+                bit = movable & -movable
+                acc += values.get(cur - (bit >> 1), 0)
+                movable ^= bit
+            values[cur] = acc
+        return values[key]
 
 
 def quot_degree(m: int, p: int, q: int) -> int:

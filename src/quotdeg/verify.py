@@ -294,8 +294,9 @@ def run_verify(
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
     memo: dict = {}
     if inject_fault:
-        # the smallest nontrivial index: its true chain count is 1
-        memo[((2,), 2)] = 2
+        # the smallest nontrivial index, (2,) mod 2 as its chain-walk cell
+        # 2 * 2^2 + 2^0: its true chain count is 1
+        memo[((2 << 2) + 1, 2)] = 2
     return VerifyReport([
         base_case_suite(min(max_n - 1, 4), precision, tolerance),
         roundtrip_suite(max_n, max_dim),

@@ -63,12 +63,17 @@ def test_degree_chain_bottom_is_one():
             assert degree_chain(bottom_index(m, m + p)) == 1
 
 
+def _cell(entries, n):
+    # the walk's key for a tuple: its first entry above n offset bits
+    return (entries[0] << n) + sum(1 << (a - entries[0]) for a in entries)
+
+
 def test_memo_reuse_is_consistent():
     memo = {}
     a = validate_index((4, 7), 4)
     assert degree_chain(a, memo) == 8
     # reusing the same table must give identical answers and hit the cache
-    assert memo[((4, 7), 4)] == 8
+    assert memo[(_cell((4, 7), 4), 4)] == 8
     assert degree_chain(a, memo) == 8
     assert degree_chain(validate_index((4, 6), 4), memo) == 8
     # one table can serve several periods at once
@@ -88,7 +93,7 @@ def test_fresh_memo_holds_exactly_the_lower_set():
                 memo = {}
                 degree_chain(alpha, memo)
                 lower = windowed_lower_set(alpha.entries, alpha.n)
-                assert set(memo) == {(t, alpha.n) for t in lower}
+                assert set(memo) == {(_cell(t, alpha.n), alpha.n) for t in lower}
     for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147)):
         memo = {}
         degree_chain(_top_index(m, p, q), memo)
@@ -97,34 +102,57 @@ def test_fresh_memo_holds_exactly_the_lower_set():
 
 def test_each_tuple_generates_its_decrements_once(monkeypatch):
     calls = []
-    real = quotdeg.chain_degree._decrement_tuples
+    real = quotdeg.chain_degree._lower_cells
 
-    def counting(entries, n):
-        calls.append(entries)
-        return real(entries, n)
+    def counting(cell, n):
+        calls.append(cell)
+        return real(cell, n)
 
-    monkeypatch.setattr(quotdeg.chain_degree, "_decrement_tuples", counting)
+    monkeypatch.setattr(quotdeg.chain_degree, "_lower_cells", counting)
     for m, p, q in ((3, 3, 4), (2, 5, 6), (1, 3, 2), (2, 2, 0)):
         calls.clear()
         memo = {}
         degree_chain(_top_index(m, p, q), memo)
-        # every memo entry but the bottom is summed from one decrement list
+        # every memo entry but the bottom is summed from one cover list
         assert len(calls) == len(memo) - 1
         assert len(set(calls)) == len(calls)
 
 
 def test_seeded_memo_entry_is_a_leaf():
-    memo = {((2,), 2): 2}
+    memo = {(_cell((2,), 2), 2): 2}
     assert degree_chain(CompositeIndex((5,), 2), memo) == 2
-    assert memo[((2,), 2)] == 2
+    assert memo[(_cell((2,), 2), 2)] == 2
     # the walk stops at the seeded entry and never reaches the bottom
-    assert ((1,), 2) not in memo
+    assert (_cell((1,), 2), 2) not in memo
 
 
 def test_deep_index_needs_no_recursion():
+    # mod 3 a pair spans 1 or 2, and (a, a + 2) covers only (a, a + 1), which
+    # covers only (a - 1, a + 1): the 5,999 tuples below (3000, 3001) form one
+    # chain, and both methods walk all of it
     alpha = CompositeIndex((3000, 3001), 3)
     assert dimension(alpha) == 5998
-    assert degree_chain(alpha) == RecurrenceTable(2, 3).degree(alpha.entries)
+    memo = {}
+    table = RecurrenceTable(2, 3)
+    assert degree_chain(alpha, memo) == table.degree(alpha.entries) == 1
+    assert len(memo) == len(table.values) == 5999
+
+
+def test_lower_cells_match_lower_covers():
+    # the cell step against the tuple step, in the same order, on every
+    # windowed index with n <= 7 and dimension <= 20
+    from quotdeg.verify import windowed_indices
+
+    edges = {"lowest entry 1": 0, "span n - 1": 0}
+    for n in range(2, 8):
+        for m in range(1, n):
+            for entries in windowed_indices(n, m, 20):
+                alpha = CompositeIndex(entries, n)
+                want = [(_cell(b.entries, n), n) for b in lower_covers(alpha)]
+                assert quotdeg.chain_degree._lower_cells(_cell(entries, n), n) == want, alpha
+                edges["lowest entry 1"] += entries[0] == 1
+                edges["span n - 1"] += alpha.span == n - 1
+    assert all(edges.values()), edges
 
 
 @settings(max_examples=100, deadline=None)

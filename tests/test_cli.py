@@ -211,7 +211,7 @@ def test_oversized_lower_set_exits_one_at_once(capsys, monkeypatch, argv):
     # top index alone, so neither the chain walk nor the box fill starts
     import quotdeg.chain_degree as chain_degree
 
-    monkeypatch.setattr(chain_degree, "_decrement_tuples", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
     monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)

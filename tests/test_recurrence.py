@@ -6,7 +6,7 @@ from quotdeg.chain_degree import degree_chain
 from quotdeg.indices import SchubertSymbol, bottom_index, schubert_to_composite, validate_index
 from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 
-from oracles import rectangle_syt_count, top_degree
+from oracles import rectangle_syt_count, top_degree, windowed_lower_set
 
 
 @pytest.mark.parametrize(
@@ -155,3 +155,22 @@ def test_query_order_does_not_change_values():
             up = {t: bottom_up.degree(t) for t in tuples}
             fresh = {t: RecurrenceTable(m, n).degree(t) for t in tuples}
             assert down == up == fresh, (m, n)
+
+
+def test_one_query_fills_exactly_its_box():
+    # values is keyed by cell (first entry above n offset bits); a fresh
+    # table's first query fills the box below it, in lexicographic order,
+    # and nothing else (the bottom is pinned and fills nothing)
+    from quotdeg.verify import windowed_indices
+
+    for n in range(2, 7):
+        for m in range(1, n):
+            for entries in windowed_indices(n, m, 12)[1:]:  # past the bottom
+                box = [
+                    (t[0] << n) + sum(1 << (a - t[0]) for a in t)
+                    for t in sorted(windowed_lower_set(entries, n))
+                ]
+                table = RecurrenceTable(m, n)
+                assert table._box(entries) == box, (entries, n)
+                table.degree(entries)
+                assert set(table.values) == set(box), (entries, n)
