@@ -33,11 +33,12 @@ from .vafa import (
     CorrelatorSpec,
     DimensionMismatchError,
     ToleranceError,
+    check_precision,
     check_tolerance,
     vi_correlator,
     vi_degree,
 )
-from .verify import duality_rows, run_verify
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,9 +59,10 @@ def _precision(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 4:
-        raise argparse.ArgumentTypeError(f"precision must be at least 4 bits, got {value}")
-    return value
+    try:
+        return check_precision(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _tolerance(text: str) -> float:
@@ -284,7 +286,6 @@ def cmd_verify(args) -> int:
         max_n=args.max_n, max_dim=args.max_dim, precision=args.precision,
         tolerance=args.tolerance, inject_fault=args.inject_fault,
     )
-    duality = duality_rows(args.max_n) if args.duality else []
     status = "pass" if report.ok else "fail"
     doc = {
         "command": "verify",
@@ -301,19 +302,12 @@ def cmd_verify(args) -> int:
         "total_failures": str(report.total_failures),
         "status": status,
     }
-    if args.duality:
-        doc["duality"] = duality
     rows = [[s.name, str(s.cases), str(len(s.failures))] for s in report.suites]
     width = max(len(s.name) for s in report.suites)
     text = []
     for s in report.suites:
         text.append(f"{s.name.ljust(width)}  cases={s.cases}  failures={len(s.failures)}")
         text.extend(f"  {f}" for f in s.failures)
-    for row in duality:
-        text.append(
-            f"duality m={row['m']} p={row['p']} q={row['q']}: {row['deg_mpq']} vs "
-            f"{row['deg_pmq']} equal={str(row['equal']).lower()}"
-        )
     text.append(f"total: cases={report.total_cases} failures={report.total_failures}")
     text.append(f"status: {status}")
     _write(args.format, doc, ["suite", "cases", "failures"], rows, text)
@@ -388,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ver, numeric=True)
     ver.add_argument("--max-n", type=int, default=5, dest="max_n")
     ver.add_argument("--max-dim", type=int, default=14, dest="max_dim")
-    ver.add_argument("--duality", action="store_true",
-                     help="also print the informational m<->p degree comparison")
     ver.add_argument("--inject-fault", action="store_true", dest="inject_fault",
                      help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)

@@ -24,6 +24,8 @@ test.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .indices import SchubertSymbol, check_lower_set, schubert_to_composite
 
 
@@ -55,22 +57,30 @@ class RecurrenceTable:
             return 0
         return None
 
-    def _box(self, top: tuple[int, ...]) -> list[int]:
+    def _box(self, top: tuple[int, ...]) -> Iterator[int]:
         # cells of the in-region tuples componentwise <= top, i.e. strictly
         # increasing, positive, spanning under one period, in lexicographic
         # order (degree relies on it): extending each prefix in turn keeps
         # it.  Entry l lies past the previous one, at most top[l], and leaves
-        # room for the m - 1 - l after it under first + n.
+        # room for the m - 1 - l after it under first + n.  The prefixes are
+        # (cell, last, first) lists; the last entry's cells are generated,
+        # never stored.
         m, n = self.m, self.n
+        if m == 1:
+            return ((v << n) + 1 for v in range(1, top[0] + 1))
         prefixes = [((v << n) + 1, v, v) for v in range(1, top[0] + 1)]
-        for l in range(1, m):
+        for l in range(1, m - 1):
             room = n - m + l
             prefixes = [
                 (cell + (1 << (v - first)), v, first)
                 for cell, last, first in prefixes
                 for v in range(last + 1, min(top[l], first + room) + 1)
             ]
-        return [cell for cell, _, _ in prefixes]
+        return (
+            cell + (1 << (v - first))
+            for cell, last, first in prefixes
+            for v in range(last + 1, min(top[-1], first + n - 1) + 1)
+        )
 
     def degree(self, entries: tuple[int, ...]) -> int:
         """Recurrence value at `entries`; 0 for any boundary or outside probe.

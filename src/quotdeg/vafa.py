@@ -95,27 +95,6 @@ def _kernel():
     return kernel
 
 
-class _Real:
-    """A kernel real handed to callers.  `_mpf_` is its raw tuple, the
-    attribute mpmath reads, so mpmath takes it wherever it takes an mpf."""
-
-    __slots__ = ("_mpf_",)
-
-    def __init__(self, raw):
-        self._mpf_ = raw
-
-
-class _Complex(namedtuple("_Complex", "real imag")):
-    """A kernel complex number handed to callers, as two _Real parts; mpmath
-    reads `_mpc_` as it reads an mpc's."""
-
-    __slots__ = ()
-
-    @property
-    def _mpc_(self):
-        return self.real._mpf_, self.imag._mpf_
-
-
 class ToleranceError(ArithmeticError):
     """A numeric result failed the residual, reality, or rounding-safety check."""
 
@@ -179,9 +158,7 @@ def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem
         raise ValueError(f"m must be positive, got {m}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if precision < 4:
-        raise ValueError(f"precision must be at least 4 bits, got {precision}")
-    return LGRootSystem(m, n, precision, _zeta_table(n, precision))
+    return LGRootSystem(m, n, precision, _zeta_table(n, check_precision(precision)))
 
 
 def _det(rows):
@@ -270,6 +247,25 @@ def powersum_determinant(mu, m: int, n: int) -> Fraction:
     return Fraction(_det(rows), n**m)
 
 
+# The largest working precision admitted, twice the most the tests and the
+# benchmark use (512 bits).  Single runs on a 2-vCPU VM (Python 3.11): the
+# costliest admitted degree, m = p = 8, q = 0, took 2.2 s at 80 bits, 2.9 s
+# at 1,024 and 5.3 s at 2,048; the costliest correlator, m = p = 9, powers
+# (81, 0, ..., 0), 3.6 s, 8.4 s and 17.1 s.  So 1,024 bits keeps the worst
+# sum within about 2.3 times its cost at 80 bits, where _MAX_WORK is set.
+_MAX_PRECISION = 1024
+
+
+def check_precision(precision: int) -> int:
+    """Return `precision` if it is in [4, _MAX_PRECISION] bits; raise
+    ValueError otherwise, before any root is computed."""
+    if precision < 4:
+        raise ValueError(f"precision must be at least 4 bits, got {precision}")
+    if precision > _MAX_PRECISION:
+        raise ValueError(f"precision must be at most {_MAX_PRECISION} bits, got {precision}")
+    return precision
+
+
 def check_tolerance(tolerance: float) -> float:
     """Return `tolerance` if it is finite and in (0, 0.5); raise ValueError otherwise.
 
@@ -297,7 +293,7 @@ def _finalize(
     lib = _kernel()
     rnd = lib.round_nearest
     scale = lib.mpf_pow_int(lib.mpf_pos(lib.from_int(n), precision, rnd), m, precision, rnd)
-    signed = lib.mpc_mul_int(subset_sum._mpc_, (-1) ** (m * (m - 1) // 2), precision, rnd)
+    signed = lib.mpc_mul_int(subset_sum, (-1) ** (m * (m - 1) // 2), precision, rnd)
     total = lib.mpc_div_mpf(signed, scale, precision, rnd)
     rounded = int(lib.to_int(lib.mpf_nint(total[0], precision, rnd)))
     off = lib.mpc_sub_mpf(total, lib.from_int(rounded), precision, rnd)
@@ -306,7 +302,7 @@ def _finalize(
     # a value of 2^(precision - 1) or more never passes
     two_u = lib.mpf_pow_int(lib.from_int(2), 2 - precision, 53, rnd)
     spread = lib.mpf_mul(two_u, lib.mpc_abs(total, 53, rnd), 53, rnd)
-    noise = lib.mpf_add(lib.mpf_div(bound._mpf_, lib.from_int(n**m), 53, rnd), spread, 53, rnd)
+    noise = lib.mpf_add(lib.mpf_div(bound, lib.from_int(n**m), 53, rnd), spread, 53, rnd)
     noise = lib.mpf_mul(noise, lib.from_float(_BOUND_SLACK), 53, rnd)
     if lib.mpf_gt(noise, lib.from_float(tolerance)):
         raise ToleranceError(
@@ -364,7 +360,7 @@ def _product_error(value, factors, roundings: int, precision: int):
 def _orbit_sum(weighted, precision: int):
     """Compensated sum, at the working precision, of size * term over
     (size, term, error) triples, and a bound on its distance from the sum
-    of size * (exact term), as a _Complex and a _Real.
+    of size * (exact term): a raw kernel complex number and a raw real.
 
     With y, a and comp each step's corrected input, rounded increment and
     new compensation, total - comp stays the sum of the inputs up to the
@@ -395,7 +391,7 @@ def _orbit_sum(weighted, precision: int):
     loop = lib.mpf_mul(loop, lib.mpf_add(u, lib.fone, 53, rnd), 53, rnd)
     bound = lib.mpf_add(lib.mpf_sum(errors, 53, rnd), loop, 53, rnd)
     bound = lib.mpf_mul(bound, lib.from_float(_BOUND_SLACK), 53, rnd)
-    return _Complex(_Real(total[0]), _Real(total[1])), _Real(bound)
+    return total, bound
 
 
 def _rotation_orbits(n: int, m: int):

@@ -258,22 +258,6 @@ def cover_soundness_suite(max_n: int) -> SuiteResult:
     return SuiteResult("cover_soundness", cases, failures)
 
 
-def duality_rows(max_n: int, max_q: int = 2) -> list[dict]:
-    """Informational comparison of deg(m, p, q) against deg(p, m, q); an
-    observed pattern, reported but never asserted."""
-    from .recurrence_degree import quot_degree
-
-    rows = []
-    for n in range(2, max_n + 1):
-        for m in range(1, n // 2 + 1):
-            p = n - m
-            for q in range(max_q + 1):
-                a, b = quot_degree(m, p, q), quot_degree(p, m, q)
-                rows.append({"m": str(m), "p": str(p), "q": str(q),
-                             "deg_mpq": str(a), "deg_pmq": str(b), "equal": a == b})
-    return rows
-
-
 def run_verify(
     max_n: int = 5,
     max_dim: int = 14,

@@ -82,3 +82,11 @@ def leibniz_coefficients(exponents, lams, n: int) -> list[int]:
         power = sum(e * lams[j] for e, j in zip(exponents, perm))
         coeffs[power % (2 * n)] += _permutation_sign(perm)
     return [coeffs[r] - coeffs[r + n] for r in range(n)]
+
+
+def transpose_columns(columns: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Columns of the dual symbol in Grass(p, m + p): the partition
+    lambda_l = c_l - l is conjugated by counting, then c'_l = lambda'_l + l."""
+    parts = [c - l for l, c in enumerate(columns, start=1)]
+    conjugate = sorted(sum(1 for x in parts if x >= k) for k in range(1, p + 1))
+    return tuple(x + l for l, x in enumerate(conjugate, start=1))

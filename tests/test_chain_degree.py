@@ -138,6 +138,19 @@ def test_deep_index_needs_no_recursion():
     assert len(memo) == len(table.values) == 5999
 
 
+def test_walk_deeper_than_the_limit_is_refused_up_front(monkeypatch):
+    # the depth is the index's dimension: at the limit the walk runs, one
+    # step past it nothing is walked and nothing enters the memo
+    monkeypatch.setattr(quotdeg.chain_degree, "_MAX_DEPTH", 10)
+    memo = {}
+    assert degree_chain(CompositeIndex((11,), 2), memo) == 1
+    memo.clear()
+    with pytest.raises(ValueError, match=r"^chain walk too deep: 11 steps down from "
+                       r"\(4, 6, 7\) mod 5 exceed the limit 10$"):
+        degree_chain(CompositeIndex((4, 6, 7), 5), memo)
+    assert memo == {}
+
+
 def test_lower_cells_match_lower_covers():
     # the cell step against the tuple step, in the same order, on every
     # windowed index with n <= 7 and dimension <= 20

@@ -135,6 +135,13 @@ def test_degree_csv_format(capsys):
          "--precision", "-5"),
         ("correlator", "--m", "2", "--p", "2", "--powers", "8,0", "--precision", "3"),
         ("verify", "--max-n", "3", "--max-dim", "4", "--precision", "2"),
+        # precision above the 1,024-bit ceiling, refused before any method runs
+        ("degree", "--m", "2", "--p", "2", "--q", "1", "--method", "vi",
+         "--precision", "200000"),
+        ("correlator", "--m", "2", "--p", "2", "--powers", "8,0", "--precision", "1025"),
+        ("verify", "--precision", "200000"),
+        # no --duality option: tests/test_duality.py asserts the duality
+        ("verify", "--max-n", "4", "--max-dim", "8", "--duality"),
         # p <= 0 in the --i form, refused like the --q and --alpha forms
         ("degree", "--m", "2", "--p", "0", "--i", "1,2"),
         ("degree", "--m", "2", "--p", "-1", "--i", "1,2"),
@@ -221,6 +228,24 @@ def test_oversized_lower_set_exits_one_at_once(capsys, monkeypatch, argv):
         f"quotdeg: error: lower set too large: an estimated {31 * math.comb(59, 29)} tuples"
     )
     assert err.rstrip().endswith("exceed the limit 1000000")
+
+
+def test_too_deep_chain_walk_exits_one_at_once(capsys, monkeypatch):
+    # (10^6,) mod 2 passes the lower-set bound with exactly 10^6 tuples, but
+    # the walk would be 999,999 steps deep: refused from the index alone
+    import quotdeg.chain_degree as chain_degree
+
+    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "degree", "--n", "2", "--alpha", "1000000", "--method", "chain"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (
+        "quotdeg: error: chain walk too deep: 999999 steps down from (1000000,) mod 2 "
+        "exceed the limit 100000\n"
+    )
 
 
 def test_degree_tolerance_failure_exits_four(capsys):
@@ -420,16 +445,6 @@ def test_verify_injected_fault_exits_two(capsys):
     assert doc["status"] == "fail"
     assert doc["fault_injected"] is True
     assert int(doc["total_failures"]) > 0
-
-
-def test_verify_duality_report(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--max-n", "4", "--max-dim", "8", "--duality",
-        "--format", "text",
-    )
-    assert code == 0
-    assert "duality m=1 p=2" in out
-    assert out.rstrip().endswith("status: pass")
 
 
 def test_module_entry_point_runs():

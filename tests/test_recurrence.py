@@ -171,6 +171,6 @@ def test_one_query_fills_exactly_its_box():
                     for t in sorted(windowed_lower_set(entries, n))
                 ]
                 table = RecurrenceTable(m, n)
-                assert table._box(entries) == box, (entries, n)
+                assert list(table._box(entries)) == box, (entries, n)
                 table.degree(entries)
                 assert set(table.values) == set(box), (entries, n)

@@ -73,6 +73,11 @@ def test_lg_roots_validation():
         lg_roots(2, 1)
     with pytest.raises(ValueError):
         lg_roots(2, 4, precision=3)
+    with pytest.raises(ValueError, match="precision must be at most 1024 bits, got 1025"):
+        lg_roots(2, 4, precision=1025)
+    with pytest.raises(ValueError, match="precision must be at most 1024 bits, got 200000"):
+        vi_degree((3, 4), 1, 2, 2, precision=200000)
+    assert lg_roots(2, 4, precision=1024).precision == 1024
 
 
 def test_zeta_table_entries_are_the_roots_bit_for_bit():
@@ -499,7 +504,7 @@ def test_subset_sums_are_pinned(subset_sum, want):
     # every bit of the unscaled sum and of its rounding bound, as (sign, mantissa,
     # exponent, bit count); the refusals in the golden file hang on these
     total, bound = subset_sum()
-    assert (total.real._mpf_, total.imag._mpf_, bound._mpf_) == want
+    assert (total[0], total[1], bound) == want
 
 
 def _power_vectors(m, weight):
@@ -533,7 +538,7 @@ def test_subset_sums_on_a_grid_are_pinned():
     digest = hashlib.sha256()
     count = 0
     for total, bound in _grid_sums():
-        bits = [tuple(int(x) for x in v._mpf_) for v in (total.real, total.imag, bound)]
+        bits = [tuple(int(x) for x in v) for v in (total[0], total[1], bound)]
         digest.update(repr(bits).encode())
         count += 1
     assert (count, digest.hexdigest()) == (
@@ -644,7 +649,7 @@ def _within_bound(got, bound, reference, precision):
     # the reference runs at 3 * precision + 40 bits, so its own error is far
     # below 2^-20 of any bound at `precision`
     with workprec(3 * precision + 40):
-        return abs(got - reference) <= bound * (1 + mpf(2) ** -20)
+        return abs(mp.make_mpc(got) - reference) <= mp.make_mpf(bound) * (1 + mpf(2) ** -20)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,6 @@ import pytest
 
 from quotdeg.indices import dimension, validate_index
 from quotdeg.verify import (
-    duality_rows,
     run_verify,
     valid_symbols,
     windowed_indices,
@@ -74,18 +73,6 @@ def test_run_verify_checks_its_bounds():
         run_verify(max_n=1, max_dim=-3)
     with pytest.raises(ValueError, match="max_dim must be nonnegative, got -1"):
         run_verify(max_n=4, max_dim=-1)
-
-
-def test_duality_rows_report_both_orientations():
-    rows = duality_rows(4, max_q=1)
-    assert rows
-    for row in rows:
-        assert set(row) >= {"m", "p", "q", "deg_mpq", "deg_pmq", "equal"}
-        assert row["equal"] == (row["deg_mpq"] == row["deg_pmq"])
-    # the classical q = 0 case is honestly symmetric
-    for row in rows:
-        if row["q"] == "0":
-            assert row["equal"]
 
 
 def test_run_verify_base_case_honours_precision():
