@@ -12,7 +12,7 @@ document, CSV rows and text lines; _write prints the one --format names.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import json
 import sys
 import time
@@ -77,6 +77,8 @@ def _write(fmt: str, doc: dict, header: list[str], rows: list[list[str]], text: 
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -397,6 +399,12 @@ def main(argv=None) -> int:
         # argparse exits 0 after help and 2 on a usage error; this
         # interface reserves 2 for disagreements
         return EXIT_USAGE if exc.code else EXIT_OK
+    # CPython refuses int <-> str conversions past 4,300 digits; lifting the
+    # limit only once parsing is done prints every answer and keeps the
+    # guard on the integers given as arguments
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DimensionMismatchError as exc:
@@ -408,7 +416,24 @@ def main(argv=None) -> int:
     except (InvalidIndexError, ValueError) as exc:
         sys.stderr.write(f"quotdeg: error: {exc}\n")
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def run() -> None:
+    """Process entry point: main(), then exit with its code.
+
+    Everything alive once main() returns lives until the process ends, so
+    gc.freeze() moves it out of reach of the collections that interpreter
+    shutdown would run over it.  Unlike os._exit, sys.exit still runs
+    atexit handlers, flushes stdio (a failed flush still exits nonzero)
+    and tears the modules down.  Library callers and tests use main().
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

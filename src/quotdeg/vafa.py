@@ -41,12 +41,13 @@ for the floating-point paths.
 
 The arithmetic is mpmath's kernel alone, the mpmath.libmp subpackage, on
 its raw numbers: a real is a (sign, mantissa, exponent, bit count) tuple
-and a complex number a (real, imag) pair of them.  _kernel loads libmp
-from mpmath's directory as the private package quotdeg._libmp, on the first
-sum, so mpmath/__init__ (its contexts, function library and docs) never
-runs.  Each operation calls the kernel function that mpmath's own context
-calls for it, with the same precision and round-to-nearest, so every bit
-is the one mpmath would compute.  Importing this module loads neither the
+and a complex number a (real, imag) pair of them.  On the first sum,
+_kernel loads five of libmp's modules from mpmath's directory under the
+private package quotdeg._libmp, so neither mpmath/__init__ (its contexts,
+function library and docs) nor libmp's own __init__ ever runs.  Each
+operation calls the kernel function that mpmath's own context calls for
+it, with the same precision and round-to-nearest, so every bit is the one
+mpmath would compute.  Importing this module loads neither the
 kernel nor fractions; only a run that reaches a fixed-point sum or the
 power-sum determinant pays.
 """
@@ -70,28 +71,35 @@ _BOUND_SLACK = 1 + 2**-40
 
 @functools.cache
 def _kernel():
-    """mpmath.libmp, loaded once from mpmath's directory as quotdeg._libmp.
+    """mpmath.libmp's arithmetic, loaded once from mpmath's directory.
 
-    libmp imports nothing from the rest of mpmath, so running its own
-    __init__ as a package of ours gives the whole kernel without
-    mpmath/__init__.  There is no other way in: no option and no fallback
-    to importing mpmath.
+    quotdeg._libmp is a bare package whose only content is libmp's
+    directory as its __path__, so its submodules' relative imports resolve
+    without libmp's __init__ (or mpmath/__init__) ever running.  libmpf,
+    libelefun and libmpc, which pull in backend and libintmath, hold every
+    function the sums call; their public names are returned as one
+    namespace.  There is no other way in: no option and no fallback to
+    importing mpmath.
     """
     import importlib.util
     import os
     import sys
+    import types
 
     mpmath = importlib.util.find_spec("mpmath")
     if mpmath is None:
         raise ModuleNotFoundError("the fixed-point sums need mpmath", name="mpmath")
-    where = os.path.join(mpmath.submodule_search_locations[0], "libmp")
-    name = f"{__package__}._libmp"
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(where, "__init__.py"), submodule_search_locations=[where]
-    )
-    kernel = importlib.util.module_from_spec(spec)
-    sys.modules[name] = kernel  # its relative imports resolve through this entry
-    spec.loader.exec_module(kernel)
+    package = types.ModuleType(f"{__package__}._libmp")
+    package.__path__ = [os.path.join(mpmath.submodule_search_locations[0], "libmp")]
+    sys.modules[package.__name__] = package
+    # from-imports, which -X importtime lists, unlike importlib.import_module
+    from ._libmp import libelefun, libmpc, libmpf
+
+    kernel = types.SimpleNamespace()
+    for module in (libmpf, libelefun, libmpc):
+        vars(kernel).update(
+            (name, value) for name, value in vars(module).items() if not name.startswith("_")
+        )
     return kernel
 
 

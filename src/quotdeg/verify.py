@@ -8,6 +8,7 @@ ordering so the CLI can emit byte-identical reports for identical inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -212,6 +213,20 @@ def order_agreement_suite(max_n: int) -> SuiteResult:
     return SuiteResult("order_agreement", cases, failures)
 
 
+def _order_pool_size(n: int, m: int) -> int:
+    """How many indices order_agreement_suite pairs up for (n, m), counted
+    without building one: a windowed m-tuple with entries <= 3n is a first
+    entry f and m - 1 more among the min(n - 1, 3n - f) values above f in
+    its window."""
+    return sum(math.comb(min(n - 1, 3 * n - f), m - 1) for f in range(1, 3 * n + 1))
+
+
+# The most order_agreement pairs admitted: 1,389,400 at max_n = 8, about 16 s
+# on a 2-vCPU VM (Python 3.11).  The count grows about 5x per period, to
+# 6,482,698 at max_n = 9.
+_MAX_ORDER_PAIRS = 2 * 10**6
+
+
 def powersum_suite(max_mp: int) -> SuiteResult:
     """Exact determinant identity: 1 on the full rectangle, 0 on every other
     partition of the same weight (each such mu has mu_m < p)."""
@@ -268,7 +283,9 @@ def run_verify(
     """Run every suite up to period max_n and dimension max_dim (some suites
     cap both lower) and return the suites' results only.
 
-    Raises ValueError, before any suite runs, when max_n < 2 or max_dim < 0.
+    Raises ValueError, before any suite runs, when max_n < 2 or max_dim < 0,
+    or when order_agreement_suite would check more than _MAX_ORDER_PAIRS
+    pairs (max_n >= 9).
     With inject_fault, one chain memo entry is poisoned so a healthy
     detector must report at least one failure.
     """
@@ -276,6 +293,14 @@ def run_verify(
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    pairs = 0
+    for n in range(2, max_n + 1):  # ends by n = 9 however large max_n is
+        pairs += sum(_order_pool_size(n, m) ** 2 for m in range(1, n))
+        if pairs > _MAX_ORDER_PAIRS:
+            raise ValueError(
+                f"max_n={max_n} is too large: the order-agreement sweep would check "
+                f"{pairs} pairs for n <= {n} alone, over the limit {_MAX_ORDER_PAIRS}"
+            )
     memo: dict = {}
     if inject_fault:
         # the smallest nontrivial index, (2,) mod 2 as its chain-walk cell

@@ -149,6 +149,9 @@ def test_degree_csv_format(capsys):
         ("degree", "--m", "3", "--p", "2", "--i", "2,3", "--d", "1", "--method", "chain"),
         ("degree", "--m", "2", "--p", "2", "--i", "3", "--method", "chain"),
         ("degree", "--m", "2", "--p", "2", "--i", "1,2,3"),
+        # a verify grid whose order-agreement sweep alone would check
+        # 609,388,548 pairs, refused before any suite runs
+        ("verify", "--max-n", "12"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -447,6 +450,24 @@ def test_verify_injected_fault_exits_two(capsys):
     assert int(doc["total_failures"]) > 0
 
 
+def test_degrees_of_any_length_print(capsys):
+    # 4,817 digits, past CPython's 4,300-digit limit on int -> str
+    values = {}
+    for method in ("chain", "recurrence"):
+        code, out, err = run_cli(
+            capsys, "degree", "--m", "2", "--p", "2", "--q", "8000", "--method", method
+        )
+        assert code == 0 and err == ""
+        values[method] = json.loads(out)["methods"][method]["degree"]
+    assert values["chain"] == values["recurrence"]
+    assert len(values["chain"]) == 4817
+    # main() puts the limit back, and it still guards integer arguments
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() > 0
+        code, _, err = run_cli(capsys, "degree", "--m", "2", "--p", "2", "--q", "9" * 5000)
+        assert code == 1 and "invalid int value" in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "quotdeg", "degree", "--m", "2", "--p", "2", "--q", "0"],
@@ -467,7 +488,8 @@ def loaded(argv):
         assert main(argv.split()) == 0, argv
     return sorted(
         name for name in sys.modules
-        if name == "fractions" or name.partition(".")[0] == "mpmath" or name == "quotdeg._libmp"
+        if name == "fractions" or name.partition(".")[0] == "mpmath"
+        or name.split(".")[:2] == ["quotdeg", "_libmp"]
     )
 
 print(json.dumps([
@@ -489,8 +511,11 @@ def test_integer_commands_never_load_the_float_stack():
     assert proc.returncode == 0, proc.stderr
     *integer, vi = json.loads(proc.stdout)
     assert integer == [[], [], [], []]
-    # the sum runs on mpmath's kernel alone, loaded without mpmath/__init__
-    assert vi == ["quotdeg._libmp"]
+    # the sum runs on five of mpmath's kernel modules, loaded without
+    # mpmath/__init__ or libmp's own __init__, so neither the special
+    # functions (gammazeta, libhyper) nor the intervals (libmpi) load
+    kernel = ["backend", "libelefun", "libintmath", "libmpc", "libmpf"]
+    assert vi == ["quotdeg._libmp", *(f"quotdeg._libmp.{name}" for name in kernel)]
 
 
 LEAN_IMPORT_PROBE = """
@@ -504,7 +529,7 @@ for argv in ("degree --m 3 --p 3 --q 4 --method chain",
              "chains --n 4 --alpha 4,7"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0, argv
-print(json.dumps(sorted({"dataclasses", "inspect", "typing"} & set(sys.modules))))
+print(json.dumps(sorted({"csv", "dataclasses", "inspect", "typing"} & set(sys.modules))))
 """
 
 

@@ -4,6 +4,9 @@ import pytest
 
 from quotdeg.indices import dimension, validate_index
 from quotdeg.verify import (
+    _MAX_ORDER_PAIRS,
+    _order_pool_size,
+    order_agreement_suite,
     run_verify,
     valid_symbols,
     windowed_indices,
@@ -73,6 +76,26 @@ def test_run_verify_checks_its_bounds():
         run_verify(max_n=1, max_dim=-3)
     with pytest.raises(ValueError, match="max_dim must be nonnegative, got -1"):
         run_verify(max_n=4, max_dim=-1)
+
+
+def test_order_pool_closed_form_counts_the_sweep():
+    for n in range(2, 8):
+        for m in range(1, n):
+            pool = [e for e in windowed_indices(n, m, 3 * n * m) if e[-1] <= 3 * n]
+            assert _order_pool_size(n, m) == len(pool), (n, m)
+    pairs = sum(_order_pool_size(n, m) ** 2 for n in range(2, 6) for m in range(1, n))
+    assert pairs == order_agreement_suite(5).cases == 11820
+
+
+def test_run_verify_refuses_an_oversized_grid_up_front():
+    # max_n = 8 (1,389,400 pairs) is admitted, 9 (6,482,698) is not
+    pairs = [sum(_order_pool_size(n, m) ** 2 for n in range(2, top + 1) for m in range(1, n))
+             for top in (8, 9)]
+    assert pairs == [1389400, 6482698]
+    assert pairs[0] <= _MAX_ORDER_PAIRS < pairs[1]
+    for max_n in (9, 12, 10**12):
+        with pytest.raises(ValueError, match="6482698 pairs for n <= 9 alone"):
+            run_verify(max_n=max_n, max_dim=0)
 
 
 def test_run_verify_base_case_honours_precision():
