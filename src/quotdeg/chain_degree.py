@@ -9,9 +9,14 @@ the stack holds only the current path, and there is no recursion depth
 limit).  The walk sees a tuple as one int, its cell: the first entry f
 above n bits that mark each entry's offset a - f.  Moving an entry at
 offset o >= 1 down to a free o - 1 is one subtraction, of 2^(o-1), and no
-tuple is built.  enumerate_chains lists the chains themselves by a plain
-depth-first walk upward from the bottom, and degree_bruteforce counts every
-path of that upward walk, sharing no code with degree_chain's walk.
+tuple is built.  What a cell's covers subtract depends only on its offset
+pattern once f >= 2, so the walk generates each pattern's subtrahends
+once and a visited cell costs one list comprehension.  The memo is keyed
+by cell alone, and the same cell names different tuples under different
+periods: a memo holds one period.  enumerate_chains lists the chains
+themselves by a plain depth-first walk upward from the bottom, and
+degree_bruteforce counts every path of that upward walk, sharing no code
+with degree_chain's walk.
 
 Note the bottom (1, ..., m) is automatically <= any valid index: strictly
 increasing positive entries force alpha_l >= l, so there is no reachable
@@ -35,21 +40,22 @@ DEFAULT_BRUTEFORCE_BOUND = 10
 # 370 MB, (200000,) mod 2 1.0 s and 89 MB, and (100000,) mod 2 0.4 s and 52 MB.
 _MAX_DEPTH = 10**5
 
-MemoTable = dict[tuple[int, int], int]
+# chain counts by cell, for one period n
+MemoTable = dict[int, int]
 
 
-def _lower_cells(cell: int, n: int) -> list[tuple[int, int]]:
-    # memo keys (cover, n) of the lower covers of a cell: the first entry
+def _lower_cells(cell: int, n: int) -> list[int]:
+    # the lower covers of a cell, in lower_covers order: the first entry
     # while it stays >= 1 and the span under n (every offset moves up one),
     # then each other entry with a free place below it
     offsets = cell & ((1 << n) - 1)
     out = []
     if cell >> n > 1 and offsets < 1 << (n - 1):
-        out.append((cell - (1 << n) + offsets - 1, n))
+        out.append(cell - (1 << n) + offsets - 1)
     movable = (offsets & ~(offsets << 1)) ^ 1
     while movable:
         bit = movable & -movable
-        out.append((cell - (bit >> 1), n))
+        out.append(cell - (bit >> 1))
         movable ^= bit
     return out
 
@@ -57,11 +63,12 @@ def _lower_cells(cell: int, n: int) -> list[tuple[int, int]]:
 def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     """Number of saturated chains from (1, ..., m) up to alpha.
 
-    Pass a dict as `memo` to reuse partial counts across calls; keys are
-    (cell, n), cell = entries[0] * 2^n + sum(2^(a - entries[0]) for a in
-    entries), so one table can serve several periods.  A lower set too
-    large to walk (indices.check_lower_set) or a walk deeper than
-    _MAX_DEPTH steps is refused up front with ValueError.
+    Pass a dict as `memo` to reuse partial counts across calls of one
+    period n: keys are cells, entries[0] * 2^n + sum(2^(a - entries[0])
+    for a in entries), and the same cell names different tuples under
+    different periods, so a memo holds one period.  A lower set too large
+    to walk (indices.check_lower_set) or a walk deeper than _MAX_DEPTH
+    steps is refused up front with ValueError.
     """
     _require_window(alpha)
     check_lower_set(alpha.entries, alpha.n)
@@ -75,16 +82,33 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
         memo = {}
     n = alpha.n
     first = alpha.entries[0]
-    key = ((first << n) + sum(1 << (a - first) for a in alpha.entries), n)
-    if key in memo:
-        return memo[key]
-    bottom = ((1 << n) + (1 << alpha.m) - 1, n)
+    top = (first << n) + sum(1 << (a - first) for a in alpha.entries)
+    if top in memo:
+        return memo[top]
+    bottom = (1 << n) + (1 << alpha.m) - 1
+
+    # what each lower cover subtracts from a cell depends only on its offset
+    # pattern once the first entry is 2 or more (a first entry of 1 cannot
+    # drop), so the subtrahends are cached by pattern there and by the whole
+    # cell on level 1: those cells lie in [2^n, 2^(n+1)), clear of every
+    # pattern, which is below 2^n
+    mask, level_two = (1 << n) - 1, 2 << n
+    steps: dict[int, list[int]] = {}
+
+    def lower(cell: int) -> list[int]:
+        pattern = cell & mask if cell >= level_two else cell
+        subtrahends = steps.get(pattern)
+        if subtrahends is None:
+            covers = _lower_cells(cell, n)
+            steps[pattern] = [cell - c for c in covers]
+            return covers
+        return [cell - d for d in subtrahends]
 
     # one post-order walk: a frame is summed once every cover has a memo
     # entry; the stack holds only the current path down from alpha, and a
     # frame resumes after the cover it last descended into
-    covers = _lower_cells(key[0], n)
-    stack = [(key, covers, iter(covers))]
+    covers = lower(top)
+    stack = [(top, covers, iter(covers))]
     while stack:
         cur, covers, rest = stack[-1]
         for cover in rest:
@@ -92,13 +116,13 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
                 if cover == bottom:
                     memo[cover] = 1
                 else:
-                    below = _lower_cells(cover[0], n)
+                    below = lower(cover)
                     stack.append((cover, below, iter(below)))
                     break
         else:
             stack.pop()
             memo[cur] = 1 if cur == bottom else sum(map(memo.__getitem__, covers))
-    return memo[key]
+    return memo[top]
 
 
 class ChainEnumeration(_OwnTypeEquality, namedtuple("ChainEnumeration", "chains total capped")):

@@ -356,8 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     deg.set_defaults(func=cmd_degree)
 
+    # Python 3.13 wraps this usage line after "--p P" where 3.10-3.12 wrap
+    # after "--powers", so it is spelled out to print the same on all of them
     cor = sub.add_parser(
-        "correlator", help="genus-zero correlator of powers of the generator classes"
+        "correlator", help="genus-zero correlator of powers of the generator classes",
+        usage="%(prog)s [-h] [--format {json,csv,text}] [--precision BITS]\n"
+              "                          [--tolerance EPS] [--verbose] --m M --p P --powers\n"
+              "                          A1,..,AM",
     )
     _add_common(cor, numeric=True)
     cor.add_argument("--m", type=int, required=True)

@@ -8,23 +8,26 @@ the recurrence by dynamic programming over the box below the queried
 tuple, keeping its own bookkeeping (no index types) so that agreement
 with the chain count is a real cross-check.
 
-`values` is keyed by cell: the first entry f above n bits that mark each
-entry's offset a - f.  Decrementing an entry at offset o >= 1 is one
-subtraction, of 2^(o-1), when o - 1 is free; otherwise two entries meet,
-a boundary zero the fill skips.  Decrementing the first entry moves every
-offset up, cell - 2^n + offsets - 1.  The box is filled in the
-lexicographic order of its tuples.  A single-entry decrement is
-lexicographically smaller than the tuple it came from, and when it is in
-the region it is also in the box, so every value a cell sums is filled
-before the cell is reached.  Of the decrements the fill reads, only the
-first entry's can leave the region, to 0 or to a span of n (which drops
-an offset bit); neither is ever a key of `values`, so it reads 0 with no
-test.
+A tuple is its first entry f, its level, and its offset pattern P, one
+bit for each entry's offset a - f (bit 0 always set).  `values` is keyed
+by cell, f * 2^n + P.  A tuple with pattern P lies below the top t
+exactly when f <= cap(P) = min over l of (t_l - o_l), so the box is every
+pattern with cap >= 1, each on the levels 1..cap.  The fill lists those
+patterns once and then runs up the levels, holding one list per level:
+- Decrementing an entry at offset o >= 1 into a free o - 1 stays on the
+  level, at the smaller pattern P - 2^(o-1), filled earlier in the level
+  because each level runs through its patterns in ascending order.  When
+  o - 1 is taken, two entries meet: a boundary zero, never summed.
+- Decrementing the first entry moves every offset up one, to the pattern
+  (P << 1) - 1 on the level below.  From level 1 it reaches a leading 0,
+  and from P >= 2^(n-1) a span of n; both read a slot that stays 0.
+Each target is componentwise below the tuple, so when it is in the region
+it is in the box.  Both moves are therefore indices into the pattern
+list, fixed for the query, and a level reads only itself and the level
+below it.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from .indices import SchubertSymbol, check_lower_set, schubert_to_composite
 
@@ -57,30 +60,22 @@ class RecurrenceTable:
             return 0
         return None
 
-    def _box(self, top: tuple[int, ...]) -> Iterator[int]:
-        # cells of the in-region tuples componentwise <= top, i.e. strictly
-        # increasing, positive, spanning under one period, in lexicographic
-        # order (degree relies on it): extending each prefix in turn keeps
-        # it.  Entry l lies past the previous one, at most top[l], and leaves
-        # room for the m - 1 - l after it under first + n.  The prefixes are
-        # (cell, last, first) lists; the last entry's cells are generated,
-        # never stored.
+    def _box(self, top: tuple[int, ...]) -> list[tuple[int, int]]:
+        # the box below top as (pattern, cap) pairs in ascending pattern
+        # order: offset l lies past the previous one, at most top[l] - 1 so
+        # that level 1 fits, and leaves room under n for the m - 1 - l after
+        # it.  The bottom's pattern 2^m - 1 is the least, and its cap top[0]
+        # the greatest.
         m, n = self.m, self.n
-        if m == 1:
-            return ((v << n) + 1 for v in range(1, top[0] + 1))
-        prefixes = [((v << n) + 1, v, v) for v in range(1, top[0] + 1)]
-        for l in range(1, m - 1):
-            room = n - m + l
-            prefixes = [
-                (cell + (1 << (v - first)), v, first)
-                for cell, last, first in prefixes
-                for v in range(last + 1, min(top[l], first + room) + 1)
+        box = [(1, 0, top[0])]  # (pattern, last offset, cap)
+        for l in range(1, m):
+            reach = min(top[l] - 1, n - m + l)
+            box = [
+                (pattern | 1 << o, o, min(cap, top[l] - o))
+                for pattern, last, cap in box
+                for o in range(last + 1, reach + 1)
             ]
-        return (
-            cell + (1 << (v - first))
-            for cell, last, first in prefixes
-            for v in range(last + 1, min(top[-1], first + n - 1) + 1)
-        )
+        return sorted((pattern, cap) for pattern, _, cap in box)
 
     def degree(self, entries: tuple[int, ...]) -> int:
         """Recurrence value at `entries`; 0 for any boundary or outside probe.
@@ -92,24 +87,42 @@ class RecurrenceTable:
         if pinned is not None:
             return pinned
         n, values = self.n, self.values
+        check_lower_set(t, n)
         key = (t[0] << n) + sum(1 << (a - t[0]) for a in t)
         if key in values:
             return values[key]
-        check_lower_set(t, n)
-        # the bottom leads every box; its only decrement leaves the region
-        unit = 1 << n
-        values.setdefault(unit + (1 << self.m) - 1, 1)
-        for cur in self._box(t):
-            if cur in values:
-                continue
-            offsets = cur & (unit - 1)
-            acc = values.get(cur - unit + offsets - 1, 0)
-            movable = (offsets & ~(offsets << 1)) ^ 1
+        box = self._box(t)
+        index = {pattern: j for j, (pattern, _) in enumerate(box)}
+        # slot `zero` of every level stays 0.  A first-entry move reads it
+        # when it reaches the span-n boundary (its pattern has bit n set, so
+        # it is no pattern at all) or when it leaves the box, which happens
+        # only from level 1, where it reaches a leading 0 anyway.
+        zero = len(box)
+        rows = []
+        for j, (pattern, cap) in enumerate(box):
+            down = index.get((pattern << 1) - 1, zero)
+            movable = (pattern & ~(pattern << 1)) ^ 1
+            across = []
             while movable:
                 bit = movable & -movable
-                acc += values.get(cur - (bit >> 1), 0)
+                across.append(index[pattern - (bit >> 1)])
                 movable ^= bit
-            values[cur] = acc
+            rows.append((j, pattern, cap, down, across))
+        # the bottom's pattern 2^m - 1 leads the box and lives on every
+        # level; it has no in-level move, and level 1 pins it to 1
+        _, bottom, _, bottom_down, _ = rows.pop(0)
+        below = [0] * (zero + 1)
+        for f in range(1, t[0] + 1):
+            rows = [row for row in rows if row[2] >= f]  # patterns whose cap is below f drop out
+            base = f << n
+            level = [0] * (zero + 1)
+            level[0] = values[base + bottom] = below[bottom_down] if f > 1 else 1
+            for j, pattern, _, down, across in rows:
+                acc = below[down]
+                for k in across:
+                    acc += level[k]
+                level[j] = values[base + pattern] = acc
+            below = level
         return values[key]
 
 

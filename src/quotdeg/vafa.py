@@ -483,17 +483,28 @@ def _orbit_terms(m: int, sys: LGRootSystem, errs: tuple, power: int, summand):
 # (m = p = 9: 1.75 million, 1.6 s).  The limit admits about 2 s of work.
 _MAX_WORK = 2 * 10**6
 
+# The weight of one entry of the 2n-entry zeta table, which every sum pays
+# for twice: at the working precision (lg_roots) and at twice that plus 20
+# bits to measure its errors (_root_errors).  Together they take 40-80 us
+# an entry at 53-80 bits on that VM, about 64 units.  At m = 1 the table is
+# the whole cost, so n up to 15,624 is admitted (about 2 s), and n = 10^8,
+# whose table ran past 30 s and 600 MB, is not.
+_ENTRY_WEIGHT = 64
+
 
 def _fixed_point(subset_sum, m: int, n: int, weight: int, precision, tolerance, roots):
     """Check the tolerance and the work, build or check the root system,
     and round subset_sum(roots).  The work, ceil(C(n, m) / n) orbits times
-    `weight` per term, is known before any root is computed."""
+    `weight` per term plus 2n table entries times _ENTRY_WEIGHT, is known
+    before any root is computed."""
     check_tolerance(tolerance)
     orbits = -(-math.comb(n, m) // n)
-    if orbits * weight > _MAX_WORK:
+    table = 2 * n * _ENTRY_WEIGHT
+    if orbits * weight + table > _MAX_WORK:
         raise ValueError(
             f"fixed-point sum too large: an estimated {orbits * weight} units of work "
-            f"({orbits} rotation orbits times {weight} per term) exceed the limit {_MAX_WORK}"
+            f"({orbits} rotation orbits times {weight} per term) and {table} for the root "
+            f"table ({2 * n} entries times {_ENTRY_WEIGHT}) exceed the limit {_MAX_WORK}"
         )
     if roots is None:
         roots = lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)

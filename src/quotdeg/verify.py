@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .chain_degree import degree_bruteforce, degree_chain
+from .chain_degree import MemoTable, degree_bruteforce, degree_chain
 from .indices import (
     CompositeIndex,
     SchubertSymbol,
@@ -75,6 +75,28 @@ def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...
             yield cols, d
 
 
+def _symbol_count(m: int, p: int, max_dim: int) -> int:
+    """How many symbols valid_symbols(m, p, max_dim) yields, counted without
+    yielding one: a column set of base dimension b <= max_dim takes the
+    shifts 0..(max_dim - b) // n."""
+    n = m + p
+    bases = (
+        sum(c - l for l, c in enumerate(cols, start=1))
+        for cols in itertools.combinations(range(1, n + 1), m)
+    )
+    return sum((max_dim - b) // n + 1 for b in bases if b <= max_dim)
+
+
+# The most symbols admitted, summed over every (m, n) with n <= max_n: the
+# roundtrip and cross_method suites run one case per symbol and pieri one
+# per index of the same count.  1,643 at max_n = 8, max_dim = 24; the limit
+# admits max_dim up to 28 there, 87 at max_n = 6 and 1,999 at max_n = 2,
+# where a verify process took 0.8-1.4 s on a 2-vCPU VM (Python 3.11).  It
+# refuses max_n = 3, max_dim = 2000 (6,003 symbols, 1.6-2.6 s), and so every
+# larger max_dim, which once ran unbounded.
+_MAX_SYMBOLS = 2000
+
+
 def windowed_indices(n: int, m: int, max_dim: int) -> list[tuple[int, ...]]:
     """All windowed index tuples of length m mod n with dimension <= max_dim,
     in lexicographic order, read off the symbol sweep of valid_symbols."""
@@ -129,11 +151,13 @@ def roundtrip_suite(max_n: int, max_dim: int) -> SuiteResult:
 
 
 def cross_method_suite(
-    max_n: int, max_dim: int, precision: int, tolerance: float, memo: dict
+    max_n: int, max_dim: int, precision: int, tolerance: float, memos: dict[int, MemoTable]
 ) -> SuiteResult:
-    """chain = recurrence = fixed-point sum on every subvariety in range."""
+    """chain = recurrence = fixed-point sum on every subvariety in range;
+    `memos` holds one chain memo per period n."""
     cases, failures = 0, []
     for n in range(2, max_n + 1):
+        memo = memos.setdefault(n, {})
         for m in range(1, n):
             p = n - m
             table = RecurrenceTable(m, n)
@@ -155,10 +179,11 @@ def cross_method_suite(
     return SuiteResult("cross_method", cases, failures)
 
 
-def pieri_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
+def pieri_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) -> SuiteResult:
     """degree(alpha) equals the sum of degrees over its lower covers."""
     cases, failures = 0, []
     for n in range(2, max_n + 1):
+        memo = memos.setdefault(n, {})
         for m in range(1, n):
             bottom = bottom_index(m, n)
             for entries in windowed_indices(n, m, max_dim):
@@ -173,11 +198,12 @@ def pieri_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
     return SuiteResult("pieri", cases, failures)
 
 
-def chain_oracle_suite(max_n: int, max_dim: int, memo: dict) -> SuiteResult:
+def chain_oracle_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) -> SuiteResult:
     """Memoized post-order walk agrees with the uncached upward walk behind
     enumerate_chains (small range)."""
     cases, failures = 0, []
     for n in range(2, min(max_n, 5) + 1):
+        memo = memos.setdefault(n, {})
         for m in range(1, n):
             for entries in windowed_indices(n, m, min(max_dim, 8)):
                 alpha = CompositeIndex(entries, n)
@@ -284,8 +310,9 @@ def run_verify(
     cap both lower) and return the suites' results only.
 
     Raises ValueError, before any suite runs, when max_n < 2 or max_dim < 0,
-    or when order_agreement_suite would check more than _MAX_ORDER_PAIRS
-    pairs (max_n >= 9).
+    when order_agreement_suite would check more than _MAX_ORDER_PAIRS
+    pairs (max_n >= 9), or when the symbol sweeps would run more than
+    _MAX_SYMBOLS symbols.
     With inject_fault, one chain memo entry is poisoned so a healthy
     detector must report at least one failure.
     """
@@ -301,17 +328,25 @@ def run_verify(
                 f"max_n={max_n} is too large: the order-agreement sweep would check "
                 f"{pairs} pairs for n <= {n} alone, over the limit {_MAX_ORDER_PAIRS}"
             )
-    memo: dict = {}
+    symbols = sum(
+        _symbol_count(m, n - m, max_dim) for n in range(2, max_n + 1) for m in range(1, n)
+    )
+    if symbols > _MAX_SYMBOLS:
+        raise ValueError(
+            f"max_dim={max_dim} is too large: the symbol sweeps would run {symbols} symbols "
+            f"for n <= {max_n}, over the limit {_MAX_SYMBOLS}"
+        )
+    memos: dict[int, MemoTable] = {}  # one chain memo per period, shared by three suites
     if inject_fault:
         # the smallest nontrivial index, (2,) mod 2 as its chain-walk cell
         # 2 * 2^2 + 2^0: its true chain count is 1
-        memo[((2 << 2) + 1, 2)] = 2
+        memos[2] = {(2 << 2) + 1: 2}
     return VerifyReport([
         base_case_suite(min(max_n - 1, 4), precision, tolerance),
         roundtrip_suite(max_n, max_dim),
-        cross_method_suite(max_n, max_dim, precision, tolerance, memo),
-        pieri_suite(max_n, max_dim, memo),
-        chain_oracle_suite(max_n, max_dim, memo),
+        cross_method_suite(max_n, max_dim, precision, tolerance, memos),
+        pieri_suite(max_n, max_dim, memos),
+        chain_oracle_suite(max_n, max_dim, memos),
         cover_soundness_suite(max_n),
         order_agreement_suite(max_n),
         powersum_suite(min(max_n - 2, 3) if max_n >= 3 else 1),

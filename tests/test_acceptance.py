@@ -93,8 +93,8 @@ def test_c03_three_methods_agree():
     failures = []
     cases = 0
     worst = 0.0
-    memo = {}
     for n in range(2, 7):
+        memo = {}  # a chain memo holds one period
         for m in range(1, n):
             p = n - m
             table = RecurrenceTable(m, n)
@@ -123,8 +123,8 @@ def test_c04_degree_sums_over_lower_covers():
     start = time.perf_counter()
     failures = []
     cases = 0
-    memo = {}
     for n in range(2, 7):
+        memo = {}  # a chain memo holds one period
         for m in range(1, n):
             for entries in windowed_indices(n, m, 20):
                 alpha = validate_index(entries, n)
@@ -147,8 +147,8 @@ def test_c05_chain_count_matches_uncached_enumeration():
     start = time.perf_counter()
     failures = []
     cases = 0
-    memo = {}
     for n in range(2, 6):
+        memo = {}  # a chain memo holds one period
         for m in range(1, n):
             for entries in windowed_indices(n, m, 8):
                 alpha = validate_index(entries, n)

@@ -73,11 +73,14 @@ def test_memo_reuse_is_consistent():
     a = validate_index((4, 7), 4)
     assert degree_chain(a, memo) == 8
     # reusing the same table must give identical answers and hit the cache
-    assert memo[(_cell((4, 7), 4), 4)] == 8
+    assert memo[_cell((4, 7), 4)] == 8
     assert degree_chain(a, memo) == 8
     assert degree_chain(validate_index((4, 6), 4), memo) == 8
-    # one table can serve several periods at once
-    assert degree_chain(validate_index((4, 5), 5), memo) == 5
+    # a table holds one period: the same cell names other tuples under
+    # other periods, (2,) mod 2 and (1,) mod 3 for one, so period 5 gets
+    # its own table and period 4's still answers
+    assert _cell((2,), 2) == _cell((1,), 3)
+    assert degree_chain(validate_index((4, 5), 5), {}) == 5
     assert degree_chain(a, memo) == 8
 
 
@@ -93,14 +96,14 @@ def test_fresh_memo_holds_exactly_the_lower_set():
                 memo = {}
                 degree_chain(alpha, memo)
                 lower = windowed_lower_set(alpha.entries, alpha.n)
-                assert set(memo) == {(_cell(t, alpha.n), alpha.n) for t in lower}
+                assert set(memo) == {_cell(t, alpha.n) for t in lower}
     for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147)):
         memo = {}
         degree_chain(_top_index(m, p, q), memo)
         assert len(memo) == size
 
 
-def test_each_tuple_generates_its_decrements_once(monkeypatch):
+def test_each_offset_pattern_generates_its_decrements_once(monkeypatch):
     calls = []
     real = quotdeg.chain_degree._lower_cells
 
@@ -109,21 +112,35 @@ def test_each_tuple_generates_its_decrements_once(monkeypatch):
         return real(cell, n)
 
     monkeypatch.setattr(quotdeg.chain_degree, "_lower_cells", counting)
-    for m, p, q in ((3, 3, 4), (2, 5, 6), (1, 3, 2), (2, 2, 0)):
+    # (m, p, q) and how many cover lists the walk generates: at most one
+    # per pattern of a first entry >= 2 and one per cell of first entry 1,
+    # 19 for the 100 cells below (3, 3, 4) and 11 for the 147 below (2, 5, 6)
+    for (m, p, q), generated in (((3, 3, 4), 19), ((2, 5, 6), 11), ((1, 3, 2), 1), ((2, 2, 0), 4)):
         calls.clear()
         memo = {}
-        degree_chain(_top_index(m, p, q), memo)
-        # every memo entry but the bottom is summed from one cover list
-        assert len(calls) == len(memo) - 1
+        alpha = _top_index(m, p, q)
+        n = alpha.n
+        degree_chain(alpha, memo)
+
+        def pattern(cell):
+            # what a cell's covers subtract depends on its offsets alone
+            # once its first entry can drop, and on the whole cell at 1
+            return cell if cell >> n == 1 else cell & ((1 << n) - 1)
+
+        # every memo entry but the bottom is summed from a cover list built
+        # from its pattern's, and each pattern's is generated once
+        bottom = _cell(tuple(range(1, m + 1)), n)
         assert len(set(calls)) == len(calls)
+        assert sorted(map(pattern, calls)) == sorted({pattern(c) for c in memo if c != bottom})
+        assert len(calls) == generated
 
 
 def test_seeded_memo_entry_is_a_leaf():
-    memo = {(_cell((2,), 2), 2): 2}
+    memo = {_cell((2,), 2): 2}
     assert degree_chain(CompositeIndex((5,), 2), memo) == 2
-    assert memo[(_cell((2,), 2), 2)] == 2
+    assert memo[_cell((2,), 2)] == 2
     # the walk stops at the seeded entry and never reaches the bottom
-    assert (_cell((1,), 2), 2) not in memo
+    assert _cell((1,), 2) not in memo
 
 
 def test_deep_index_needs_no_recursion():
@@ -161,7 +178,7 @@ def test_lower_cells_match_lower_covers():
         for m in range(1, n):
             for entries in windowed_indices(n, m, 20):
                 alpha = CompositeIndex(entries, n)
-                want = [(_cell(b.entries, n), n) for b in lower_covers(alpha)]
+                want = [_cell(b.entries, n) for b in lower_covers(alpha)]
                 assert quotdeg.chain_degree._lower_cells(_cell(entries, n), n) == want, alpha
                 edges["lowest entry 1"] += entries[0] == 1
                 edges["span n - 1"] += alpha.span == n - 1

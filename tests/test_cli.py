@@ -251,6 +251,38 @@ def test_too_deep_chain_walk_exits_one_at_once(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "n,method,message",
+    [
+        ("100000000", "chain", "lower set too large: an estimated 40 tuples below (40,) mod "
+         "100000000, times 1562501 64-bit words per cell, exceed the limit 1000000"),
+        ("100000000", "recurrence", "lower set too large: an estimated 40 tuples below (40,) "
+         "mod 100000000, times 1562501 64-bit words per cell, exceed the limit 1000000"),
+        ("1000000000", "chain", "lower set too large: an estimated 40 tuples below (40,) mod "
+         "1000000000, times 15625001 64-bit words per cell, exceed the limit 1000000"),
+        ("100000000", "vi", "fixed-point sum too large: an estimated 2 units of work (1 rotation "
+         "orbits times 2 per term) and 12800000000 for the root table (200000000 entries "
+         "times 64) exceed the limit 2000000"),
+    ],
+    ids=["chain-1e8", "recurrence-1e8", "chain-1e9", "vi-1e8"],
+)
+def test_oversized_period_exits_one_at_once(capsys, monkeypatch, n, method, message):
+    # (40,) has 40 tuples below it, but each cell holds n bits, and the
+    # fixed-point sum's root table has 2n entries: refused from n alone,
+    # where these requests once ran for seconds and hundreds of megabytes
+    import quotdeg.chain_degree as chain_degree
+    import quotdeg.vafa as vafa
+
+    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
+    monkeypatch.setattr(vafa, "lg_roots", lambda *a: pytest.fail("roots were built"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "degree", "--n", n, "--alpha", "40", "--method", method)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == f"quotdeg: error: {message}\n"
+
+
 def test_degree_tolerance_failure_exits_four(capsys):
     code, out, err = run_cli(
         capsys,

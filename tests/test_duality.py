@@ -24,13 +24,13 @@ def _symbols(max_n, max_dim):
 
 
 def test_degrees_are_invariant_under_grassmannian_duality():
-    memo, tables, roots = {}, {}, {}
+    memos, tables, roots = {}, {}, {}  # a chain memo holds one period
 
     def exact(m, n, cols, d):
         alpha = schubert_to_composite(SchubertSymbol(cols, d), n)
         if (m, n) not in tables:
             tables[m, n] = RecurrenceTable(m, n)
-        return degree_chain(alpha, memo), tables[m, n].degree(alpha.entries)
+        return degree_chain(alpha, memos.setdefault(n, {})), tables[m, n].degree(alpha.entries)
 
     def vi(m, p, cols, d):
         if (m, p) not in roots:

@@ -277,6 +277,20 @@ def test_lower_set_estimate_bounds_the_lower_set():
                 check_lower_set(top, n)  # far below the limit
 
 
+def test_lower_set_estimate_counts_the_cell_width():
+    # a cell holds n + bit_length(first entry) bits; each tuple counts once
+    # per 64-bit word of them
+    check_lower_set((40,), 57)  # 63 bits: one word
+    check_lower_set((10**6 // 2,), 63)  # 82 bits: two words, 10^6 in all
+    with pytest.raises(ValueError, match=r"estimated 500001 tuples .*, times 2 64-bit words"):
+        check_lower_set((10**6 // 2 + 1,), 63)
+    # 999,992 + 7 bits, 15,625 words a cell: 64 tuples fit, 65 do not
+    check_lower_set((64,), 999992)
+    with pytest.raises(ValueError, match=r"estimated 65 tuples below \(65,\) mod 999992, "
+                       r"times 15625 64-bit words per cell, exceed the limit 1000000"):
+        check_lower_set((65,), 999992)
+
+
 def test_lower_set_limit_is_a_fixed_constant():
     check_lower_set((10**6,), 2)  # estimate 10^6 * C(1, 0), exactly the limit
     with pytest.raises(ValueError, match="estimated 1000001 tuples .* exceed the limit 1000000"):

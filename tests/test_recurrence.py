@@ -1,9 +1,15 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotdeg.chain_degree import degree_chain
-from quotdeg.indices import SchubertSymbol, bottom_index, schubert_to_composite, validate_index
+from quotdeg.indices import (
+    CompositeIndex,
+    SchubertSymbol,
+    bottom_index,
+    schubert_to_composite,
+    validate_index,
+)
 from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 
 from oracles import rectangle_syt_count, top_degree, windowed_lower_set
@@ -54,8 +60,8 @@ def test_recurrence_matches_chain_exhaustively():
     # shared sweep over every windowed index of moderate dimension
     from quotdeg.verify import windowed_indices
 
-    memo = {}
     for n in range(2, 7):
+        memo = {}  # a chain memo holds one period
         for m in range(1, n):
             table = RecurrenceTable(m, n)
             for entries in windowed_indices(n, m, 20):
@@ -157,20 +163,78 @@ def test_query_order_does_not_change_values():
             assert down == up == fresh, (m, n)
 
 
+def _cell(t, n):
+    return (t[0] << n) + sum(1 << (a - t[0]) for a in t)
+
+
+def _entries(cell, n):
+    first = cell >> n
+    return tuple(first + o for o in range(n) if cell >> o & 1)
+
+
 def test_one_query_fills_exactly_its_box():
     # values is keyed by cell (first entry above n offset bits); a fresh
-    # table's first query fills the box below it, in lexicographic order,
-    # and nothing else (the bottom is pinned and fills nothing)
+    # table's first query fills the box below it, one level of the first
+    # entry at a time, and nothing else (the bottom is pinned and fills
+    # nothing).  The box is listed once as offset patterns, ascending, each
+    # with the highest level it reaches.
     from quotdeg.verify import windowed_indices
 
     for n in range(2, 7):
         for m in range(1, n):
             for entries in windowed_indices(n, m, 12)[1:]:  # past the bottom
-                box = [
-                    (t[0] << n) + sum(1 << (a - t[0]) for a in t)
-                    for t in sorted(windowed_lower_set(entries, n))
-                ]
+                box = {_cell(t, n) for t in windowed_lower_set(entries, n)}
                 table = RecurrenceTable(m, n)
-                assert list(table._box(entries)) == box, (entries, n)
+                patterns = table._box(entries)
+                assert patterns == sorted(patterns), (entries, n)
+                assert patterns[0] == ((1 << m) - 1, entries[0]), (entries, n)
+                cells = [(f << n) + pattern for pattern, cap in patterns for f in range(1, cap + 1)]
+                assert sorted(cells) == sorted(box), (entries, n)
                 table.degree(entries)
-                assert set(table.values) == set(box), (entries, n)
+                assert set(table.values) == box, (entries, n)
+
+
+@st.composite
+def shared_tops(draw):
+    # two tops of one (m, n) with n <= 8: a first entry of 1 gives a box of
+    # a single level, and an offset of n - 1 touches the span-n boundary
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, n - 1))
+
+    def top():
+        first = draw(st.integers(1, 5))
+        offsets = draw(
+            st.lists(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1, unique=True)
+        )
+        return (first,) + tuple(first + o for o in sorted(offsets))
+
+    return n, top(), top()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_tops())
+@example((5, (1, 2, 5), (1, 3, 4)))  # single-level boxes
+@example((4, (6,), (2,)))  # m = 1
+@example((6, (3, 5, 8), (2, 4, 7)))  # spans of n - 1
+@example((7, (4, 5, 6, 7, 8, 9), (1, 2, 3, 4, 5, 6)))  # m = n - 1, and the bottom
+def test_level_fill_agrees_with_the_chain_count(case):
+    n, first, second = case
+    m = len(first)
+    bottom = tuple(range(1, m + 1))
+    memo = {}  # a chain memo holds one period
+    for top in (first, second):
+        table = RecurrenceTable(m, n)
+        value = table.degree(top)
+        assert value == degree_chain(CompositeIndex(top, n), memo), (top, n)
+        # a fresh table fills exactly the box below the top (none at the
+        # pinned bottom), and every value is the chain count of its tuple
+        box = {_cell(t, n) for t in windowed_lower_set(top, n)} if top != bottom else set()
+        assert set(table.values) == box, (top, n)
+        for cell, v in table.values.items():
+            assert v == degree_chain(CompositeIndex(_entries(cell, n), n), memo), (cell, n)
+    # a shared table gives the same answers and holds the same values in
+    # either query order
+    forward, backward = RecurrenceTable(m, n), RecurrenceTable(m, n)
+    answers = (forward.degree(first), forward.degree(second))
+    assert answers[::-1] == (backward.degree(second), backward.degree(first))
+    assert forward.values == backward.values

@@ -310,6 +310,26 @@ def test_oversized_sums_are_refused_before_any_work(request_sum, orbits, weight,
     assert f"limit {vafa._MAX_WORK}" in str(refusal.value)
 
 
+def test_root_table_counts_toward_the_work(monkeypatch):
+    # at m = 1 the 2n-entry zeta table is the whole cost: 2 * 15,624 entries
+    # at 64 units are admitted, one period more is not
+    import quotdeg.vafa as vafa
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(vafa, "lg_roots", admitted)
+    assert 2 * 15624 * vafa._ENTRY_WEIGHT + 2 <= vafa._MAX_WORK
+    with pytest.raises(Admitted):
+        vi_degree((1,), 0, 1, 15623)
+    with pytest.raises(ValueError, match=r"and 2000000 for the root table \(31250 entries "
+                       r"times 64\) exceed the limit 2000000$"):
+        vi_degree((1,), 0, 1, 15624)
+
+
 @pytest.mark.parametrize(
     "powers,m,p,precision",
     [

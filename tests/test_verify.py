@@ -5,7 +5,9 @@ import pytest
 from quotdeg.indices import dimension, validate_index
 from quotdeg.verify import (
     _MAX_ORDER_PAIRS,
+    _MAX_SYMBOLS,
     _order_pool_size,
+    _symbol_count,
     order_agreement_suite,
     run_verify,
     valid_symbols,
@@ -96,6 +98,42 @@ def test_run_verify_refuses_an_oversized_grid_up_front():
     for max_n in (9, 12, 10**12):
         with pytest.raises(ValueError, match="6482698 pairs for n <= 9 alone"):
             run_verify(max_n=max_n, max_dim=0)
+
+
+def test_symbol_closed_form_counts_the_sweep():
+    for n in range(2, 7):
+        for m in range(1, n):
+            for max_dim in (0, 1, 7, 30):
+                want = len(list(valid_symbols(m, n - m, max_dim)))
+                assert _symbol_count(m, n - m, max_dim) == want
+
+
+def test_run_verify_refuses_too_many_symbols_up_front(monkeypatch):
+    # max_n = 8, max_dim = 24 (1,643 symbols) is admitted; max_n = 3,
+    # max_dim = 2000 (6,003) is refused before any suite runs
+    import quotdeg.verify as verify
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    def count(max_n, max_dim):
+        return sum(
+            _symbol_count(m, n - m, max_dim) for n in range(2, max_n + 1) for m in range(1, n)
+        )
+
+    assert count(8, 24) == 1643 <= _MAX_SYMBOLS < count(3, 2000) == 6003
+    monkeypatch.setattr(verify, "base_case_suite", admitted)
+    with pytest.raises(Admitted):
+        run_verify(max_n=8, max_dim=24)
+    with pytest.raises(Admitted):
+        run_verify(max_n=2, max_dim=1999)
+    with pytest.raises(ValueError, match="would run 6003 symbols for n <= 3, over the limit 2000"):
+        run_verify(max_n=3, max_dim=2000)
+    with pytest.raises(ValueError, match="would run 2001 symbols for n <= 2"):
+        run_verify(max_n=2, max_dim=2000)
 
 
 def test_run_verify_base_case_honours_precision():
