@@ -4,19 +4,17 @@ The degree of the subvariety named by a windowed index alpha equals the
 number of maximal chains in the componentwise order below alpha.  Every
 cover step decrements a single entry, so the count satisfies a sum over
 lower covers; degree_chain evaluates that sum in a single iterative
-post-order walk down from alpha (each tuple's covers are generated once,
-the stack holds only the current path, and there is no recursion depth
-limit).  The walk sees a tuple as one int, its cell: the first entry f
-above n bits that mark each entry's offset a - f.  Moving an entry at
-offset o >= 1 down to a free o - 1 is one subtraction, of 2^(o-1), and no
-tuple is built.  What a cell's covers subtract depends only on its offset
-pattern once f >= 2, so the walk generates each pattern's subtrahends
-once and a visited cell costs one list comprehension.  The memo is keyed
-by cell alone, and the same cell names different tuples under different
-periods: a memo holds one period.  enumerate_chains lists the chains
-themselves by a plain depth-first walk upward from the bottom, and
-degree_bruteforce counts every path of that upward walk, sharing no code
-with degree_chain's walk.
+post-order walk down from alpha (each visited tuple's covers are
+generated once, when the walk first reaches it, the stack holds only the
+current path, and there is no recursion depth limit).  The walk sees a
+tuple as one int, its cell: the first entry f above n bits that mark
+each entry's offset a - f.  Moving an entry at offset o >= 1 down to a
+free o - 1 is one subtraction, of 2^(o-1), and no tuple is built.  The
+memo is keyed by cell alone, and the same cell names different tuples
+under different periods: a memo holds one period.  enumerate_chains
+lists the chains themselves by a plain depth-first walk upward from the
+bottom, and degree_bruteforce counts every path of that upward walk,
+sharing no code with degree_chain's walk.
 
 Note the bottom (1, ..., m) is automatically <= any valid index: strictly
 increasing positive entries force alpha_l >= l, so there is no reachable
@@ -66,9 +64,12 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     Pass a dict as `memo` to reuse partial counts across calls of one
     period n: keys are cells, entries[0] * 2^n + sum(2^(a - entries[0])
     for a in entries), and the same cell names different tuples under
-    different periods, so a memo holds one period.  A lower set too large
-    to walk (indices.check_lower_set) or a walk deeper than _MAX_DEPTH
-    steps is refused up front with ValueError.
+    different periods, so a memo holds one period.  Every cell the walk
+    reaches without a memo entry gets its cover list from _lower_cells
+    once, the bottom's empty list included, and is summed over it; a cell
+    already in the memo is a leaf.  A lower set too large to walk
+    (indices.check_lower_set) or a walk deeper than _MAX_DEPTH steps is
+    refused up front with ValueError.
     """
     _require_window(alpha)
     check_lower_set(alpha.entries, alpha.n)
@@ -87,38 +88,19 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
         return memo[top]
     bottom = (1 << n) + (1 << alpha.m) - 1
 
-    # what each lower cover subtracts from a cell depends only on its offset
-    # pattern once the first entry is 2 or more (a first entry of 1 cannot
-    # drop), so the subtrahends are cached by pattern there and by the whole
-    # cell on level 1: those cells lie in [2^n, 2^(n+1)), clear of every
-    # pattern, which is below 2^n
-    mask, level_two = (1 << n) - 1, 2 << n
-    steps: dict[int, list[int]] = {}
-
-    def lower(cell: int) -> list[int]:
-        pattern = cell & mask if cell >= level_two else cell
-        subtrahends = steps.get(pattern)
-        if subtrahends is None:
-            covers = _lower_cells(cell, n)
-            steps[pattern] = [cell - c for c in covers]
-            return covers
-        return [cell - d for d in subtrahends]
-
     # one post-order walk: a frame is summed once every cover has a memo
     # entry; the stack holds only the current path down from alpha, and a
-    # frame resumes after the cover it last descended into
-    covers = lower(top)
+    # frame resumes after the cover it last descended into.  The bottom has
+    # no covers, so its frame pops at once and is pinned to 1.
+    covers = _lower_cells(top, n)
     stack = [(top, covers, iter(covers))]
     while stack:
         cur, covers, rest = stack[-1]
         for cover in rest:
             if cover not in memo:
-                if cover == bottom:
-                    memo[cover] = 1
-                else:
-                    below = lower(cover)
-                    stack.append((cover, below, iter(below)))
-                    break
+                below = _lower_cells(cover, n)
+                stack.append((cover, below, iter(below)))
+                break
         else:
             stack.pop()
             memo[cur] = 1 if cur == bottom else sum(map(memo.__getitem__, covers))

@@ -228,12 +228,16 @@ def cmd_table(args) -> int:
     top = tuple(range(p + 1, n + 1))
     memo: dict = {}
     table = RecurrenceTable(m, n)
+    # the largest box first: an oversized one is refused before any work,
+    # and both methods then answer every smaller q from what it filled
+    degrees = {}
+    for q in range(args.max_q, -1, -1):
+        alpha = schubert_to_composite(SchubertSymbol(top, q), n)
+        degrees[q] = degree_chain(alpha, memo), table.degree(alpha.entries)
     header = ["m", "p", "q", "n", "dim", "degree"]
     rows = []
     for q in range(args.max_q + 1):
-        alpha = schubert_to_composite(SchubertSymbol(top, q), n)
-        ch = degree_chain(alpha, memo)
-        rec = table.degree(alpha.entries)
+        ch, rec = degrees[q]
         if ch != rec:
             sys.stderr.write(f"quotdeg: methods disagree at q={q}: chain={ch} recurrence={rec}\n")
             return EXIT_DISAGREEMENT

@@ -32,6 +32,8 @@ from .vafa import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
     ToleranceError,
+    check_precision,
+    check_tolerance,
     lg_roots,
     powersum_determinant,
     vi_degree,
@@ -217,14 +219,15 @@ def chain_oracle_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) ->
 
 def order_agreement_suite(max_n: int) -> SuiteResult:
     """Merged-progression order restricted to the window is the componentwise
-    order: checked on all pairs with entries <= 3n."""
+    order: checked on all pairs of windowed indices with entries <= 3n, the
+    m-subsets of 1..3n spanning less than n, in lexicographic order."""
     cases, failures = 0, []
     for n in range(2, max_n + 1):
         for m in range(1, n):
             pool = [
                 CompositeIndex(entries, n)
-                for entries in windowed_indices(n, m, 3 * n * m)
-                if entries[-1] <= 3 * n
+                for entries in itertools.combinations(range(1, 3 * n + 1), m)
+                if entries[-1] - entries[0] < n
             ]
             for a in pool:
                 for b in pool:
@@ -310,9 +313,10 @@ def run_verify(
     cap both lower) and return the suites' results only.
 
     Raises ValueError, before any suite runs, when max_n < 2 or max_dim < 0,
-    when order_agreement_suite would check more than _MAX_ORDER_PAIRS
-    pairs (max_n >= 9), or when the symbol sweeps would run more than
-    _MAX_SYMBOLS symbols.
+    when precision is outside vafa.check_precision's range or tolerance
+    outside vafa.check_tolerance's, when order_agreement_suite would check
+    more than _MAX_ORDER_PAIRS pairs (max_n >= 9), or when the symbol
+    sweeps would run more than _MAX_SYMBOLS symbols.
     With inject_fault, one chain memo entry is poisoned so a healthy
     detector must report at least one failure.
     """
@@ -320,6 +324,8 @@ def run_verify(
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if max_dim < 0:
         raise ValueError(f"max_dim must be nonnegative, got {max_dim}")
+    check_precision(precision)
+    check_tolerance(tolerance)
     pairs = 0
     for n in range(2, max_n + 1):  # ends by n = 9 however large max_n is
         pairs += sum(_order_pool_size(n, m) ** 2 for m in range(1, n))

@@ -103,7 +103,7 @@ def test_fresh_memo_holds_exactly_the_lower_set():
         assert len(memo) == size
 
 
-def test_each_offset_pattern_generates_its_decrements_once(monkeypatch):
+def test_each_visited_cell_generates_its_covers_once(monkeypatch):
     calls = []
     real = quotdeg.chain_degree._lower_cells
 
@@ -112,27 +112,22 @@ def test_each_offset_pattern_generates_its_decrements_once(monkeypatch):
         return real(cell, n)
 
     monkeypatch.setattr(quotdeg.chain_degree, "_lower_cells", counting)
-    # (m, p, q) and how many cover lists the walk generates: at most one
-    # per pattern of a first entry >= 2 and one per cell of first entry 1,
-    # 19 for the 100 cells below (3, 3, 4) and 11 for the 147 below (2, 5, 6)
-    for (m, p, q), generated in (((3, 3, 4), 19), ((2, 5, 6), 11), ((1, 3, 2), 1), ((2, 2, 0), 4)):
+    # (m, p, q) and the size of the lower set the walk visits
+    for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147), ((1, 3, 2), 12), ((2, 2, 0), 6)):
         calls.clear()
         memo = {}
         alpha = _top_index(m, p, q)
-        n = alpha.n
         degree_chain(alpha, memo)
-
-        def pattern(cell):
-            # what a cell's covers subtract depends on its offsets alone
-            # once its first entry can drop, and on the whole cell at 1
-            return cell if cell >> n == 1 else cell & ((1 << n) - 1)
-
-        # every memo entry but the bottom is summed from a cover list built
-        # from its pattern's, and each pattern's is generated once
-        bottom = _cell(tuple(range(1, m + 1)), n)
-        assert len(set(calls)) == len(calls)
-        assert sorted(map(pattern, calls)) == sorted({pattern(c) for c in memo if c != bottom})
-        assert len(calls) == generated
+        # one cover list per memo entry, the bottom's included
+        assert _cell(tuple(range(1, m + 1)), alpha.n) in calls
+        assert sorted(calls) == sorted(memo)
+        assert len(calls) == size
+        # a memo hit, on the top or on any cell below it, generates none
+        calls.clear()
+        degree_chain(alpha, memo)
+        for below in lower_covers(alpha):
+            degree_chain(below, memo)
+        assert calls == []
 
 
 def test_seeded_memo_entry_is_a_leaf():

@@ -233,6 +233,37 @@ def test_oversized_lower_set_exits_one_at_once(capsys, monkeypatch, argv):
     assert err.rstrip().endswith("exceed the limit 1000000")
 
 
+def test_table_fills_its_largest_box_first(capsys, monkeypatch):
+    # the q = 20 box holds every smaller one, so a sweep fills one box and
+    # reads q = 0..19 back from the chain memo and the recurrence values
+    boxes = []
+    real = RecurrenceTable._box
+
+    def counting(self, top):
+        boxes.append(top)
+        return real(self, top)
+
+    monkeypatch.setattr(RecurrenceTable, "_box", counting)
+    code, out, _ = run_cli(
+        capsys, "table", "--m", "6", "--p", "6", "--max-q", "20", "--format", "csv"
+    )
+    assert code == 0
+    assert [row[2] for row in csv.reader(io.StringIO(out))][1:] == [str(q) for q in range(21)]
+    assert len(boxes) == 1
+
+    # so an oversized --max-q is refused before any box or walk: q = 200 at
+    # (8, 8) is over the lower-set limit, though q = 0..74 are not
+    import quotdeg.chain_degree as chain_degree
+
+    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--m", "8", "--p", "8", "--max-q", "200")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("quotdeg: error: lower set too large: an estimated ")
+
+
 def test_too_deep_chain_walk_exits_one_at_once(capsys, monkeypatch):
     # (10^6,) mod 2 passes the lower-set bound with exactly 10^6 tuples, but
     # the walk would be 999,999 steps deep: refused from the index alone

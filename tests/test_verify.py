@@ -80,13 +80,40 @@ def test_run_verify_checks_its_bounds():
         run_verify(max_n=4, max_dim=-1)
 
 
+def _reference_order_pool(n, m):
+    # the windowed indices with entries <= 3n, read off the symbol sweep
+    return [e for e in windowed_indices(n, m, 3 * n * m) if e[-1] <= 3 * n]
+
+
 def test_order_pool_closed_form_counts_the_sweep():
     for n in range(2, 8):
         for m in range(1, n):
-            pool = [e for e in windowed_indices(n, m, 3 * n * m) if e[-1] <= 3 * n]
-            assert _order_pool_size(n, m) == len(pool), (n, m)
+            assert _order_pool_size(n, m) == len(_reference_order_pool(n, m)), (n, m)
     pairs = sum(_order_pool_size(n, m) ** 2 for n in range(2, 6) for m in range(1, n))
     assert pairs == order_agreement_suite(5).cases == 11820
+
+
+def test_order_agreement_pairs_the_reference_pool_in_order(monkeypatch):
+    import quotdeg.verify as verify
+
+    seen = []
+    real = verify.leq_sequence
+
+    def recording(a, b):
+        seen.append((a.n, a.entries, b.entries))
+        return real(a, b)
+
+    monkeypatch.setattr(verify, "leq_sequence", recording)
+    order_agreement_suite(6)
+    want = [
+        (n, a, b)
+        for n in range(2, 7)
+        for m in range(1, n)
+        for pool in [_reference_order_pool(n, m)]
+        for a in pool
+        for b in pool
+    ]
+    assert seen == want
 
 
 def test_run_verify_refuses_an_oversized_grid_up_front():
@@ -134,6 +161,24 @@ def test_run_verify_refuses_too_many_symbols_up_front(monkeypatch):
         run_verify(max_n=3, max_dim=2000)
     with pytest.raises(ValueError, match="would run 2001 symbols for n <= 2"):
         run_verify(max_n=2, max_dim=2000)
+
+
+def test_run_verify_refuses_bad_precision_and_tolerance_up_front(monkeypatch):
+    # checked before base_case runs its first chain and recurrence
+    import quotdeg.verify as verify
+
+    def ran(*args):
+        pytest.fail("a suite ran")
+
+    monkeypatch.setattr(verify, "base_case_suite", ran)
+    for kwargs, message in (
+        ({"precision": 2}, "precision must be at least 4 bits, got 2"),
+        ({"precision": 5000}, "precision must be at most 1024 bits, got 5000"),
+        ({"tolerance": float("nan")}, r"tolerance must be finite and in \(0, 0.5\), got nan"),
+        ({"tolerance": 0.5}, r"tolerance must be finite and in \(0, 0.5\), got 0.5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_verify(max_n=3, max_dim=4, **kwargs)
 
 
 def test_run_verify_base_case_honours_precision():
