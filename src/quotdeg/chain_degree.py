@@ -38,6 +38,14 @@ DEFAULT_BRUTEFORCE_BOUND = 10
 # 370 MB, (200000,) mod 2 1.0 s and 89 MB, and (100000,) mod 2 0.4 s and 52 MB.
 _MAX_DEPTH = 10**5
 
+# The most chain steps enumerate_chains lists: min(total, cap) chains of
+# dimension + 1 steps each.  On a 2-vCPU VM (Python 3.11), `chains` at the
+# limit, (60, 61) mod 4 with cap 16,806, took 1.2-2.3 s and 68-236 MB per
+# process over the three formats; the default cap once let (60, 61) list
+# 12 * 10^6 steps (5.7 s, 543 MB) and (200, 201) mod 4 40 * 10^6 (31.6 s,
+# 4.7 GB).  The benchmark deck lists at most 19,000.
+_MAX_LISTED_STEPS = 2 * 10**6
+
 # chain counts by cell, for one period n
 MemoTable = dict[int, int]
 
@@ -159,12 +167,20 @@ def enumerate_chains(alpha: CompositeIndex, cap: int = DEFAULT_CHAIN_CAP) -> Cha
 
     At most `cap` chains are materialized; `total` is always the exact
     count and `capped` flags a truncated listing.  Chains share their
-    steps: each distinct entry tuple becomes one CompositeIndex.
+    steps: each distinct entry tuple becomes one CompositeIndex.  A listing
+    of more than _MAX_LISTED_STEPS steps is refused with ValueError once
+    the total is known, before any chain is built.
     """
     _require_window(alpha)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     total = degree_chain(alpha)
+    listed, length = min(total, cap), dimension(alpha) + 1
+    if listed * length > _MAX_LISTED_STEPS:
+        raise ValueError(
+            f"chain listing too large: {listed} chains of {length} steps each exceed "
+            f"the limit {_MAX_LISTED_STEPS} listed steps; lower --cap"
+        )
     chains = []
     steps: dict[tuple[int, ...], CompositeIndex] = {}
     for tup in _iter_chain_tuples(alpha.entries, alpha.n):

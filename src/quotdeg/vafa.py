@@ -303,9 +303,6 @@ def _finalize(
     scale = lib.mpf_pow_int(lib.mpf_pos(lib.from_int(n), precision, rnd), m, precision, rnd)
     signed = lib.mpc_mul_int(subset_sum, (-1) ** (m * (m - 1) // 2), precision, rnd)
     total = lib.mpc_div_mpf(signed, scale, precision, rnd)
-    rounded = int(lib.to_int(lib.mpf_nint(total[0], precision, rnd)))
-    off = lib.mpc_sub_mpf(total, lib.from_int(rounded), precision, rnd)
-    residual = lib.to_float(lib.mpc_abs(off, precision, rnd), rnd=rnd)
     # the division and the rounding of n^m move total by < 2u|total|, so
     # a value of 2^(precision - 1) or more never passes
     two_u = lib.mpf_pow_int(lib.from_int(2), 2 - precision, 53, rnd)
@@ -317,6 +314,11 @@ def _finalize(
             f"noise bound {lib.to_str(noise, 3)} exceeds the tolerance {tolerance}; "
             "raise the precision"
         )
+    # rounded only once certified: a total of about 2^precision or more has
+    # refused above, before its integer part is built
+    rounded = int(lib.to_int(lib.mpf_nint(total[0], precision, rnd)))
+    off = lib.mpc_sub_mpf(total, lib.from_int(rounded), precision, rnd)
+    residual = lib.to_float(lib.mpc_abs(off, precision, rnd), rnd=rnd)
     raw = lib.mpc_to_complex(total, rnd=rnd)
     imag = lib.to_float(lib.mpf_abs(total[1], 53, rnd), rnd=rnd)
     if residual > tolerance or imag > tolerance:

@@ -8,7 +8,6 @@ ordering so the CLI can emit byte-identical reports for identical inputs.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -66,27 +65,21 @@ class VerifyReport(_OwnTypeEquality, namedtuple("VerifyReport", "suites")):
         return self.total_failures == 0
 
 
-def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All (columns, d) naming a subvariety with dimension <= max_dim."""
+def _column_sets(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each column set of base dimension b <= max_dim, with its shift count
+    (max_dim - b) // n + 1: its symbols take d = 0 up to (max_dim - b) // n."""
     n = m + p
     for cols in itertools.combinations(range(1, n + 1), m):
         base = sum(c - l for l, c in enumerate(cols, start=1))
-        if base > max_dim:
-            continue
-        for d in range((max_dim - base) // n + 1):
+        if base <= max_dim:
+            yield cols, (max_dim - base) // n + 1
+
+
+def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All (columns, d) naming a subvariety with dimension <= max_dim."""
+    for cols, shifts in _column_sets(m, p, max_dim):
+        for d in range(shifts):
             yield cols, d
-
-
-def _symbol_count(m: int, p: int, max_dim: int) -> int:
-    """How many symbols valid_symbols(m, p, max_dim) yields, counted without
-    yielding one: a column set of base dimension b <= max_dim takes the
-    shifts 0..(max_dim - b) // n."""
-    n = m + p
-    bases = (
-        sum(c - l for l, c in enumerate(cols, start=1))
-        for cols in itertools.combinations(range(1, n + 1), m)
-    )
-    return sum((max_dim - b) // n + 1 for b in bases if b <= max_dim)
 
 
 # The most symbols admitted, summed over every (m, n) with n <= max_n: the
@@ -217,18 +210,20 @@ def chain_oracle_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) ->
     return SuiteResult("chain_oracle", cases, failures)
 
 
+def _order_pool(n: int, m: int) -> list[tuple[int, ...]]:
+    """The windowed indices with entries <= 3n, in lexicographic order; each
+    has dimension below 3nm, so windowed_indices lists them all."""
+    return [e for e in windowed_indices(n, m, 3 * n * m) if e[-1] <= 3 * n]
+
+
 def order_agreement_suite(max_n: int) -> SuiteResult:
     """Merged-progression order restricted to the window is the componentwise
-    order: checked on all pairs of windowed indices with entries <= 3n, the
-    m-subsets of 1..3n spanning less than n, in lexicographic order."""
+    order: checked on all pairs of _order_pool indices, in lexicographic
+    order."""
     cases, failures = 0, []
     for n in range(2, max_n + 1):
         for m in range(1, n):
-            pool = [
-                CompositeIndex(entries, n)
-                for entries in itertools.combinations(range(1, 3 * n + 1), m)
-                if entries[-1] - entries[0] < n
-            ]
+            pool = [CompositeIndex(entries, n) for entries in _order_pool(n, m)]
             for a in pool:
                 for b in pool:
                     cases += 1
@@ -240,14 +235,6 @@ def order_agreement_suite(max_n: int) -> SuiteResult:
                             f"sequence={seq} componentwise={comp}"
                         )
     return SuiteResult("order_agreement", cases, failures)
-
-
-def _order_pool_size(n: int, m: int) -> int:
-    """How many indices order_agreement_suite pairs up for (n, m), counted
-    without building one: a windowed m-tuple with entries <= 3n is a first
-    entry f and m - 1 more among the min(n - 1, 3n - f) values above f in
-    its window."""
-    return sum(math.comb(min(n - 1, 3 * n - f), m - 1) for f in range(1, 3 * n + 1))
 
 
 # The most order_agreement pairs admitted: 1,389,400 at max_n = 8, about 16 s
@@ -328,14 +315,17 @@ def run_verify(
     check_tolerance(tolerance)
     pairs = 0
     for n in range(2, max_n + 1):  # ends by n = 9 however large max_n is
-        pairs += sum(_order_pool_size(n, m) ** 2 for m in range(1, n))
+        pairs += sum(len(_order_pool(n, m)) ** 2 for m in range(1, n))
         if pairs > _MAX_ORDER_PAIRS:
             raise ValueError(
                 f"max_n={max_n} is too large: the order-agreement sweep would check "
                 f"{pairs} pairs for n <= {n} alone, over the limit {_MAX_ORDER_PAIRS}"
             )
     symbols = sum(
-        _symbol_count(m, n - m, max_dim) for n in range(2, max_n + 1) for m in range(1, n)
+        shifts
+        for n in range(2, max_n + 1)
+        for m in range(1, n)
+        for _, shifts in _column_sets(m, n - m, max_dim)
     )
     if symbols > _MAX_SYMBOLS:
         raise ValueError(

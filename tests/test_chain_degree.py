@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,30 @@ def test_listing_builds_each_distinct_step_once():
     steps = [step for chain in enum.chains for step in chain]
     assert len(steps) == 19000
     assert len({id(step) for step in steps}) == len(set(steps)) == 40
+
+
+def test_oversized_listing_is_refused_before_a_chain_is_built(monkeypatch):
+    # the default cap once listed 12 * 10^6 steps for (60, 61) mod 4 and
+    # 40 * 10^6 for (200, 201) mod 4, in seconds and gigabytes; the total
+    # and the dimension size a listing before it starts
+    chain_degree = quotdeg.chain_degree
+    monkeypatch.setattr(chain_degree, "_iter_chain_tuples", lambda *a: pytest.fail("chain built"))
+    for entries, length in (((60, 61), 119), ((200, 201), 399)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=(
+            f"^chain listing too large: 100000 chains of {length} steps each exceed "
+            "the limit 2000000 listed steps; lower --cap$"
+        )):
+            enumerate_chains(validate_index(entries, 4))
+        assert time.perf_counter() - start < 1
+    # the limit admits the largest listing the benchmark runs, 1000 x 19
+    # steps, and is strict: one chain more is refused
+    monkeypatch.undo()
+    alpha = validate_index((5, 9, 10), 6)
+    monkeypatch.setattr(chain_degree, "_MAX_LISTED_STEPS", 19000)
+    assert len(enumerate_chains(alpha, cap=1000).chains) == 1000
+    with pytest.raises(ValueError, match="1001 chains of 19 steps each exceed the limit 19000"):
+        enumerate_chains(alpha, cap=1001)
 
 
 @settings(max_examples=60, deadline=None)

@@ -314,6 +314,40 @@ def test_oversized_period_exits_one_at_once(capsys, monkeypatch, n, method, mess
     assert err == f"quotdeg: error: {message}\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_oversized_chain_listing_exits_one_at_once(capsys, monkeypatch, fmt):
+    # under the default cap this listed 40 * 10^6 steps: 31.6 s, 4.7 GB and
+    # 637 MB of JSON, with exit 0
+    import quotdeg.chain_degree as chain_degree
+
+    monkeypatch.setattr(chain_degree, "_iter_chain_tuples", lambda *a: pytest.fail("chain built"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "chains", "--n", "4", "--alpha", "200,201", "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "quotdeg: error: chain listing too large: 100000 chains of 399 steps each "
+        "exceed the limit 2000000 listed steps; lower --cap\n"
+    )
+
+
+def test_oversized_fixed_point_sum_exits_four_at_once(capsys, monkeypatch):
+    # the sum's value has about 4 * 10^10 bits; rounding it first once took
+    # gigabytes and ended in a MemoryError traceback
+    import quotdeg.vafa as vafa
+
+    monkeypatch.setattr(vafa._kernel(), "to_int", lambda *a: pytest.fail("sum rounded"))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "degree", "--m", "2", "--p", "2", "--i", "1,2", "--d", "10000000000",
+        "--method", "vi",
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 4 and err == ""
+    status = json.loads(out)["methods"]["vi"]["status"]
+    assert status.startswith("tolerance failure: noise bound "), status
+
+
 def test_degree_tolerance_failure_exits_four(capsys):
     code, out, err = run_cli(
         capsys,

@@ -383,6 +383,26 @@ def test_vi_degree_refuses_last_place_noise():
     assert vi_degree((3, 4), 200, 2, 2, precision=460).value == quot_degree(2, 2, 200)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: vi_correlator(CorrelatorSpec((40_000_000, 0), 2, 2)),
+        lambda: vi_degree((1, 2), 10**10, 2, 2),
+    ],
+    ids=["correlator-4e7", "degree-1e10"],
+)
+def test_oversized_sum_refuses_before_it_rounds(monkeypatch, run):
+    # a sum with about as many bits as its dimension is refused by its noise
+    # bound alone; rounding it to an integer first once took quadratic time
+    import quotdeg.vafa as vafa
+
+    monkeypatch.setattr(vafa._kernel(), "to_int", lambda *a: pytest.fail("sum rounded"))
+    start = time.perf_counter()
+    with pytest.raises(ToleranceError, match="^noise bound "):
+        run()
+    assert time.perf_counter() - start < 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 8), st.integers(20, 520))
 @example(2, 2, 200, 404)

@@ -6,8 +6,8 @@ from quotdeg.indices import dimension, validate_index
 from quotdeg.verify import (
     _MAX_ORDER_PAIRS,
     _MAX_SYMBOLS,
-    _order_pool_size,
-    _symbol_count,
+    _column_sets,
+    _order_pool,
     order_agreement_suite,
     run_verify,
     valid_symbols,
@@ -81,16 +81,20 @@ def test_run_verify_checks_its_bounds():
 
 
 def _reference_order_pool(n, m):
-    # the windowed indices with entries <= 3n, read off the symbol sweep
-    return [e for e in windowed_indices(n, m, 3 * n * m) if e[-1] <= 3 * n]
+    # the m-subsets of 1..3n spanning less than n, in lexicographic order
+    return [e for e in itertools.combinations(range(1, 3 * n + 1), m) if e[-1] - e[0] < n]
 
 
-def test_order_pool_closed_form_counts_the_sweep():
-    for n in range(2, 8):
+def _order_pairs(max_n):
+    return sum(len(_order_pool(n, m)) ** 2 for n in range(2, max_n + 1) for m in range(1, n))
+
+
+def test_order_pool_matches_the_subset_filter():
+    for n in range(2, 9):
         for m in range(1, n):
-            assert _order_pool_size(n, m) == len(_reference_order_pool(n, m)), (n, m)
-    pairs = sum(_order_pool_size(n, m) ** 2 for n in range(2, 6) for m in range(1, n))
-    assert pairs == order_agreement_suite(5).cases == 11820
+            assert _order_pool(n, m) == _reference_order_pool(n, m), (n, m)
+    assert _order_pairs(5) == order_agreement_suite(5).cases == 11820
+    assert [_order_pairs(top) for top in (6, 8, 9)] == [59950, 1389400, 6482698]
 
 
 def test_order_agreement_pairs_the_reference_pool_in_order(monkeypatch):
@@ -118,8 +122,7 @@ def test_order_agreement_pairs_the_reference_pool_in_order(monkeypatch):
 
 def test_run_verify_refuses_an_oversized_grid_up_front():
     # max_n = 8 (1,389,400 pairs) is admitted, 9 (6,482,698) is not
-    pairs = [sum(_order_pool_size(n, m) ** 2 for n in range(2, top + 1) for m in range(1, n))
-             for top in (8, 9)]
+    pairs = [_order_pairs(top) for top in (8, 9)]
     assert pairs == [1389400, 6482698]
     assert pairs[0] <= _MAX_ORDER_PAIRS < pairs[1]
     for max_n in (9, 12, 10**12):
@@ -127,12 +130,22 @@ def test_run_verify_refuses_an_oversized_grid_up_front():
             run_verify(max_n=max_n, max_dim=0)
 
 
-def test_symbol_closed_form_counts_the_sweep():
+def _symbols(max_n, max_dim):
+    return sum(
+        len(list(valid_symbols(m, n - m, max_dim)))
+        for n in range(2, max_n + 1)
+        for m in range(1, n)
+    )
+
+
+def test_symbol_bound_counts_the_sweep():
+    # the bound sums the shift counts of the column sets valid_symbols sweeps
     for n in range(2, 7):
         for m in range(1, n):
             for max_dim in (0, 1, 7, 30):
-                want = len(list(valid_symbols(m, n - m, max_dim)))
-                assert _symbol_count(m, n - m, max_dim) == want
+                shifts = sum(k for _, k in _column_sets(m, n - m, max_dim))
+                assert shifts == len(list(valid_symbols(m, n - m, max_dim))), (n, m, max_dim)
+    assert [_symbols(8, 24), _symbols(3, 2000), _symbols(2, 2000)] == [1643, 6003, 2001]
 
 
 def test_run_verify_refuses_too_many_symbols_up_front(monkeypatch):
@@ -146,12 +159,7 @@ def test_run_verify_refuses_too_many_symbols_up_front(monkeypatch):
     def admitted(*args):
         raise Admitted
 
-    def count(max_n, max_dim):
-        return sum(
-            _symbol_count(m, n - m, max_dim) for n in range(2, max_n + 1) for m in range(1, n)
-        )
-
-    assert count(8, 24) == 1643 <= _MAX_SYMBOLS < count(3, 2000) == 6003
+    assert _symbols(8, 24) == 1643 <= _MAX_SYMBOLS < _symbols(3, 2000) == 6003
     monkeypatch.setattr(verify, "base_case_suite", admitted)
     with pytest.raises(Admitted):
         run_verify(max_n=8, max_dim=24)
