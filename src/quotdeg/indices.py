@@ -21,6 +21,15 @@ from collections.abc import Iterable
 # 48,048 at (8,7,6), whose real box of 45,045 tuples takes 0.1-0.2 s.
 _MAX_LOWER_SET = 10**6
 
+# The most 64-bit words the counts stored over a lower set may take, as
+# estimated by check_lower_set.  On a 2-vCPU VM, degree --m 2 --p 2 --q Q
+# estimates 24M words at Q = 8,000 (52 MB for the recurrence, 74 MB for the
+# chain count) and 198M at Q = 23,000 (0.44 s and 296 MB, 0.82 s and
+# 451 MB), both admitted; Q = 40,000, whose recurrence peaked at 852 MB,
+# estimates 600M and is refused.  (3000, 3001) mod 3 estimates 564,000 and
+# (8,7,6) 336,336.
+_MAX_COUNT_WORDS = 2 * 10**8
+
 
 class InvalidIndexError(ValueError):
     """A tuple violates the index invariants, or two indices live mod different n."""
@@ -248,13 +257,28 @@ def check_lower_set(entries: tuple[int, ...], n: int) -> None:
     1,562,501 words at n = 10^8, where 40 tuples took 2.8 s and 548 MB.
     Above _MAX_LOWER_SET this raises ValueError naming the estimate and
     the limit.
+
+    Both methods also store a count under every tuple.  Each step up
+    raises one of m entries, so a count is at most m^dim, dim = sum(a_l - l)
+    of `entries`: dim * ceil(log2 m) bits.  Counted in 64-bit words per
+    tuple, above _MAX_COUNT_WORDS this raises ValueError naming the
+    tuples, the bits per count, the words and the limit.
     """
-    tuples = entries[0] * math.comb(n - 1, len(entries) - 1)
+    m = len(entries)
+    tuples = entries[0] * math.comb(n - 1, m - 1)
     words = (n + entries[0].bit_length()) // 64 + 1
     if tuples * words > _MAX_LOWER_SET:
         raise ValueError(
             f"lower set too large: an estimated {tuples} tuples below {entries} mod {n}, "
             f"times {words} 64-bit words per cell, exceed the limit {_MAX_LOWER_SET}"
+        )
+    bits = (sum(entries) - m * (m + 1) // 2) * (m - 1).bit_length()
+    count_words = tuples * (bits // 64 + 1)
+    if count_words > _MAX_COUNT_WORDS:
+        raise ValueError(
+            f"counts too large: an estimated {tuples} tuples below {entries} mod {n}, "
+            f"each holding a count of up to {bits} bits, take {count_words} 64-bit words, "
+            f"past the limit {_MAX_COUNT_WORDS}"
         )
 
 

@@ -13,18 +13,22 @@ bit for each entry's offset a - f (bit 0 always set).  `values` is keyed
 by cell, f * 2^n + P.  A tuple with pattern P lies below the top t
 exactly when f <= cap(P) = min over l of (t_l - o_l), so the box is every
 pattern with cap >= 1, each on the levels 1..cap.  The fill lists those
-patterns once and then runs up the levels, holding one list per level:
+patterns once, in the order it generates them, lexicographic in the
+offsets (o_1, ..., o_(m-1)), and then runs up the levels, holding one list
+per level:
 - Decrementing an entry at offset o >= 1 into a free o - 1 stays on the
-  level, at the smaller pattern P - 2^(o-1), filled earlier in the level
-  because each level runs through its patterns in ascending order.  When
-  o - 1 is taken, two entries meet: a boundary zero, never summed.
+  level, at the pattern P - 2^(o-1), filled earlier in the level because
+  lowering one offset gives a lexicographically smaller list.  When o - 1
+  is taken, two entries meet: a boundary zero, never summed.
 - Decrementing the first entry moves every offset up one, to the pattern
   (P << 1) - 1 on the level below.  From level 1 it reaches a leading 0,
   and from P >= 2^(n-1) a span of n; both read a slot that stays 0.
 Each target is componentwise below the tuple, so when it is in the region
 it is in the box.  Both moves are therefore indices into the pattern
 list, fixed for the query, and a level reads only itself and the level
-below it.
+below it.  The bottom's pattern 2^m - 1 is the first in the list and has
+no in-level move; it is pinned to 1 on level 1 only, and above that it
+sums its first-entry move like every other pattern.
 """
 
 from __future__ import annotations
@@ -46,26 +50,13 @@ class RecurrenceTable:
         self.m = m
         self.n = n
         self.values: dict[int, int] = {}
-        self._bottom = tuple(range(1, m + 1))
-
-    def _pinned(self, t: tuple[int, ...]) -> int | None:
-        # a query probe's initial value at the bottom, then boundary zeros
-        if t == self._bottom:
-            return 1
-        if any(b <= a for a, b in zip(t, t[1:])):
-            return 0
-        if t[0] < 1:
-            return 0
-        if t[-1] - t[0] >= self.n:
-            return 0
-        return None
 
     def _box(self, top: tuple[int, ...]) -> list[tuple[int, int]]:
-        # the box below top as (pattern, cap) pairs in ascending pattern
-        # order: offset l lies past the previous one, at most top[l] - 1 so
-        # that level 1 fits, and leaves room under n for the m - 1 - l after
-        # it.  The bottom's pattern 2^m - 1 is the least, and its cap top[0]
-        # the greatest.
+        # the box below top as (pattern, cap) pairs in the order they are
+        # generated, lexicographic in the offsets: offset l lies past the
+        # previous one, at most top[l] - 1 so that level 1 fits, and leaves
+        # room under n for the m - 1 - l after it.  The bottom's pattern
+        # 2^m - 1 comes first, and its cap top[0] is the greatest.
         m, n = self.m, self.n
         box = [(1, 0, top[0])]  # (pattern, last offset, cap)
         for l in range(1, m):
@@ -75,7 +66,7 @@ class RecurrenceTable:
                 for pattern, last, cap in box
                 for o in range(last + 1, reach + 1)
             ]
-        return sorted((pattern, cap) for pattern, _, cap in box)
+        return [(pattern, cap) for pattern, _, cap in box]
 
     def degree(self, entries: tuple[int, ...]) -> int:
         """Recurrence value at `entries`; 0 for any boundary or outside probe.
@@ -83,10 +74,11 @@ class RecurrenceTable:
         t = tuple(int(x) for x in entries)
         if len(t) != self.m:
             raise ValueError(f"expected {self.m} entries, got {t}")
-        pinned = self._pinned(t)
-        if pinned is not None:
-            return pinned
         n, values = self.n, self.values
+        if t[0] < 1 or t[-1] - t[0] >= n or any(b <= a for a, b in zip(t, t[1:])):
+            return 0
+        if t[-1] == self.m:  # increasing from 1 to m: the bottom, which fills nothing
+            return 1
         check_lower_set(t, n)
         key = (t[0] << n) + sum(1 << (a - t[0]) for a in t)
         if key in values:
@@ -108,20 +100,17 @@ class RecurrenceTable:
                 across.append(index[pattern - (bit >> 1)])
                 movable ^= bit
             rows.append((j, pattern, cap, down, across))
-        # the bottom's pattern 2^m - 1 leads the box and lives on every
-        # level; it has no in-level move, and level 1 pins it to 1
-        _, bottom, _, bottom_down, _ = rows.pop(0)
         below = [0] * (zero + 1)
         for f in range(1, t[0] + 1):
             rows = [row for row in rows if row[2] >= f]  # patterns whose cap is below f drop out
             base = f << n
             level = [0] * (zero + 1)
-            level[0] = values[base + bottom] = below[bottom_down] if f > 1 else 1
             for j, pattern, _, down, across in rows:
                 acc = below[down]
                 for k in across:
                     acc += level[k]
-                level[j] = values[base + pattern] = acc
+                # row 0 is the bottom, pinned to 1 on level 1 only
+                level[j] = values[base + pattern] = acc if j or f > 1 else 1
             below = level
         return values[key]
 

@@ -314,6 +314,23 @@ def test_oversized_period_exits_one_at_once(capsys, monkeypatch, n, method, mess
     assert err == f"quotdeg: error: {message}\n"
 
 
+def test_oversized_counts_exit_one_at_once(capsys, monkeypatch):
+    # 600,009 tuples pass the cell-word bound, but their counts reach 400,004
+    # bits: about 5 GB by the trend of the 852 MB that q = 40,000 once took
+    monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "degree", "--m", "2", "--p", "2", "--q", "100000", "--method", "recurrence"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == (
+        "quotdeg: error: counts too large: an estimated 600009 tuples below (200003, 200004) "
+        "mod 4, each holding a count of up to 400004 bits, take 3750656259 64-bit words, "
+        "past the limit 200000000\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_oversized_chain_listing_exits_one_at_once(capsys, monkeypatch, fmt):
     # under the default cap this listed 40 * 10^6 steps: 31.6 s, 4.7 GB and

@@ -291,6 +291,17 @@ def test_lower_set_estimate_counts_the_cell_width():
         check_lower_set((65,), 999992)
 
 
+def test_count_bits_limit_is_a_fixed_constant():
+    # a count below a tuple is at most m^dim, dim * ceil(log2 m) bits, so each
+    # tuple counts once per 64-bit word of them: 80,000 tuples of 159,998 bits
+    # (2,500 words) reach the limit exactly
+    check_lower_set((80000, 80001), 2)
+    with pytest.raises(ValueError, match=r"counts too large: an estimated 80001 tuples below "
+                       r"\(80001, 80002\) mod 2, each holding a count of up to 160000 bits, "
+                       r"take 200082501 64-bit words, past the limit 200000000"):
+        check_lower_set((80001, 80002), 2)
+
+
 def test_lower_set_limit_is_a_fixed_constant():
     check_lower_set((10**6,), 2)  # estimate 10^6 * C(1, 0), exactly the limit
     with pytest.raises(ValueError, match="estimated 1000001 tuples .* exceed the limit 1000000"):

@@ -41,6 +41,8 @@ def test_degree_recurrence_known_values(entries, n, expected):
 def test_boundary_probes_evaluate_to_zero(entries):
     table = RecurrenceTable(2, 4)
     assert table.degree(entries) == 0
+    # neither a probe nor the bottom fills anything
+    assert table.degree((1, 2)) == 1 and table.values == {}
 
 
 def test_degree_is_nonnegative_everywhere():
@@ -176,8 +178,10 @@ def test_one_query_fills_exactly_its_box():
     # values is keyed by cell (first entry above n offset bits); a fresh
     # table's first query fills the box below it, one level of the first
     # entry at a time, and nothing else (the bottom is pinned and fills
-    # nothing).  The box is listed once as offset patterns, ascending, each
-    # with the highest level it reaches.
+    # nothing).  The box is listed once as offset patterns, each with the
+    # highest level it reaches, in an order the fill can run through: every
+    # in-level move, an offset o >= 1 lowered into a free o - 1, reaches a
+    # pattern P - 2^(o-1) listed earlier.
     from quotdeg.verify import windowed_indices
 
     for n in range(2, 7):
@@ -186,7 +190,12 @@ def test_one_query_fills_exactly_its_box():
                 box = {_cell(t, n) for t in windowed_lower_set(entries, n)}
                 table = RecurrenceTable(m, n)
                 patterns = table._box(entries)
-                assert patterns == sorted(patterns), (entries, n)
+                seen = set()
+                for pattern, _ in patterns:
+                    for o in range(1, n):
+                        if pattern >> o & 1 and not pattern >> (o - 1) & 1:
+                            assert pattern - (1 << (o - 1)) in seen, (entries, n, pattern)
+                    seen.add(pattern)
                 assert patterns[0] == ((1 << m) - 1, entries[0]), (entries, n)
                 cells = [(f << n) + pattern for pattern, cap in patterns for f in range(1, cap + 1)]
                 assert sorted(cells) == sorted(box), (entries, n)
