@@ -125,10 +125,11 @@ class ChainEnumeration(_OwnTypeEquality, namedtuple("ChainEnumeration", "chains 
 def _upward_steps(
     cur: tuple[int, ...], target: tuple[int, ...], n: int
 ) -> list[tuple[int, ...]]:
-    # single-entry increments staying componentwise below target and in-window
+    # single-entry increments staying componentwise below target and in-window,
+    # in lexicographic order: raising a later entry gives the smaller tuple
     out = []
     m = len(cur)
-    for l in range(m):
+    for l in range(m - 1, -1, -1):
         v = cur[l] + 1
         if v > target[l]:
             continue
@@ -138,7 +139,6 @@ def _upward_steps(
         if t[-1] - t[0] >= n:
             continue
         out.append(t)
-    out.sort()
     return out
 
 

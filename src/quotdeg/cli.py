@@ -72,11 +72,15 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _write(fmt: str, doc: dict, header: list[str], rows: list[list[str]], text: list[str]) -> None:
-    """Print one report to stdout in the chosen format."""
-    if fmt == "json":
+def _write(args, doc: dict, header: list[str], rows: list[list[str]], text: list[str],
+           start: float | None = None) -> None:
+    """Print one report to stdout in the format --format names; under
+    --verbose a JSON report ends with the milliseconds since `start`."""
+    if start is not None and args.verbose:
+        doc["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
+    if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -186,7 +190,7 @@ def cmd_degree(args) -> int:
         *(f"{k}: {v['degree'] or v['status']}" for k, v in methods.items()),
         f"agreement: {str(agreement).lower()}",
     ]
-    _write(args.format, doc, ["method", "degree", "status"], rows, text)
+    _write(args, doc, ["method", "degree", "status"], rows, text)
     if tolerance_failed:
         return EXIT_TOLERANCE
     return EXIT_OK if agreement else EXIT_DISAGREEMENT
@@ -196,7 +200,6 @@ def cmd_correlator(args) -> int:
     spec = CorrelatorSpec.from_powers(args.powers, args.m, args.p)
     start = time.perf_counter()
     result = vi_correlator(spec, precision=args.precision, tolerance=args.tolerance)
-    elapsed = time.perf_counter() - start
     m, p = str(spec.m), str(spec.p)
     powers = ",".join(str(a) for a in spec.powers)
     n, q, value = str(spec.m + spec.p), str(spec.q), str(result.value)
@@ -211,10 +214,9 @@ def cmd_correlator(args) -> int:
         doc["raw"] = str(result.raw)
         doc["residual"] = repr(result.residual)
         doc["imag"] = repr(result.imag)
-        doc["elapsed_ms"] = _fmt_ms(elapsed)
     header = ["m", "p", "powers", "q", "n", "value"]
     text = [f"request: m={m} p={p} powers={powers}", f"q: {q}", f"value: {value}"]
-    _write(args.format, doc, header, [[m, p, powers, q, n, value]], text)
+    _write(args, doc, header, [[m, p, powers, q, n, value]], text, start)
     return EXIT_OK
 
 
@@ -223,6 +225,7 @@ def cmd_table(args) -> int:
         raise InvalidIndexError(f"m and p must be positive, got m={args.m} p={args.p}")
     if args.max_q < 0:
         raise InvalidIndexError(f"--max-q must be nonnegative, got {args.max_q}")
+    start = time.perf_counter()
     m, p = args.m, args.p
     n = m + p
     top = tuple(range(p + 1, n + 1))
@@ -253,7 +256,7 @@ def cmd_table(args) -> int:
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
         for row in [header, *rows]
     ]
-    _write(args.format, doc, header, rows, text)
+    _write(args, doc, header, rows, text, start)
     return EXIT_OK
 
 
@@ -262,6 +265,7 @@ def cmd_chains(args) -> int:
     if args.cap < 1:
         raise InvalidIndexError(f"--cap must be positive, got {args.cap}")
     _alpha_symbol(alpha)
+    start = time.perf_counter()
     enum = enumerate_chains(alpha, cap=args.cap)
     # chains share their steps, so each distinct step is rendered once
     names: dict = {}
@@ -279,7 +283,7 @@ def cmd_chains(args) -> int:
     }
     rows = [[str(idx), chain] for idx, chain in enumerate(joined, start=1)]
     rows.append(["count", str(enum.total)])
-    _write(args.format, doc, ["chain", "steps"], rows, [*joined, f"count={enum.total}"])
+    _write(args, doc, ["chain", "steps"], rows, [*joined, f"count={enum.total}"], start)
     return EXIT_OK
 
 
@@ -288,6 +292,7 @@ def cmd_verify(args) -> int:
         raise InvalidIndexError(f"--max-n must be at least 2, got {args.max_n}")
     if args.max_dim < 0:
         raise InvalidIndexError(f"--max-dim must be nonnegative, got {args.max_dim}")
+    start = time.perf_counter()
     report = run_verify(
         max_n=args.max_n, max_dim=args.max_dim, precision=args.precision,
         tolerance=args.tolerance, inject_fault=args.inject_fault,
@@ -316,7 +321,7 @@ def cmd_verify(args) -> int:
         text.extend(f"  {f}" for f in s.failures)
     text.append(f"total: cases={report.total_cases} failures={report.total_failures}")
     text.append(f"status: {status}")
-    _write(args.format, doc, ["suite", "cases", "failures"], rows, text)
+    _write(args, doc, ["suite", "cases", "failures"], rows, text, start)
     return EXIT_OK if report.ok else EXIT_DISAGREEMENT
 
 

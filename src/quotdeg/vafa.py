@@ -10,10 +10,12 @@ when the residual and imaginary part clear the tolerance and a bound on
 the sum's rounding error stays below it.
 
 A root system is one table of zeta^0..zeta^(2n-1), zeta = e^(i pi/n); the
-roots are every other entry.  The degree sum indexes each subset by its
-roots' exponents, so the Schur determinant is built from integers: each
-entry zeta^s becomes 2^(width s), one Laplace expansion over column subsets
-gives an integer whose signed base-2^width digits are the determinant's
+roots are every other entry.  Fixed by n and the precision alone, the table
+and its measured errors are cached per (n, precision), and each sum takes
+its roots from lg_roots.  The degree sum indexes each subset by its roots'
+exponents, so the Schur determinant is built from integers: each entry
+zeta^s becomes 2^(width s), one Laplace expansion over column subsets gives
+an integer whose signed base-2^width digits are the determinant's
 coefficients on the powers of zeta, read off by a single dot product.
 
 Both sums run through one loop, _orbit_terms.  Rotating the roots by
@@ -145,6 +147,7 @@ class LGRootSystem(_OwnTypeEquality, namedtuple("LGRootSystem", "m n precision p
         return self.powers[1 - self.m % 2 :: 2]
 
 
+@functools.lru_cache(maxsize=32)
 def _zeta_table(n: int, prec: int) -> tuple:
     # zeta^r for r in range(2n) as mp.expjpi(mpf(r) / n) computes it at prec bits
     lib = _kernel()
@@ -426,8 +429,8 @@ def _rotation_orbits(n: int, m: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _root_errors(powers: tuple, precision: int) -> tuple[float, ...]:
-    """|powers[r] - zeta^r| for each entry of a zeta table, in units of
+def _root_errors(n: int, precision: int) -> tuple[float, ...]:
+    """|_zeta_table(n, precision)[r] - zeta^r| for each entry, in units of
     u = 2^(1 - precision).
 
     Read off the same table built at 2 * precision + 20 bits, whose own
@@ -438,7 +441,7 @@ def _root_errors(powers: tuple, precision: int) -> tuple[float, ...]:
     scale = lib.mpf_pow_int(lib.from_int(2), precision - 1, wp, rnd)
     errors = (
         lib.mpf_mul(lib.mpc_abs(lib.mpc_sub(z, exact, wp, rnd), wp, rnd), scale, wp, rnd)
-        for z, exact in zip(powers, _zeta_table(len(powers) // 2, wp))
+        for z, exact in zip(_zeta_table(n, precision), _zeta_table(n, wp))
     )
     return tuple(lib.to_float(e, rnd=rnd) + 2**-10 for e in errors)
 
@@ -494,11 +497,11 @@ _MAX_WORK = 2 * 10**6
 _ENTRY_WEIGHT = 64
 
 
-def _fixed_point(subset_sum, m: int, n: int, weight: int, precision, tolerance, roots):
-    """Check the tolerance and the work, build or check the root system,
-    and round subset_sum(roots).  The work, ceil(C(n, m) / n) orbits times
-    `weight` per term plus 2n table entries times _ENTRY_WEIGHT, is known
-    before any root is computed."""
+def _fixed_point(subset_sum, m: int, n: int, weight: int, precision: int, tolerance: float):
+    """Check the tolerance and the work, then round subset_sum(lg_roots(m, n,
+    precision)).  The work, ceil(C(n, m) / n) orbits times `weight` per term
+    plus 2n table entries times _ENTRY_WEIGHT, is known before any root is
+    computed."""
     check_tolerance(tolerance)
     orbits = -(-math.comb(n, m) // n)
     table = 2 * n * _ENTRY_WEIGHT
@@ -508,14 +511,8 @@ def _fixed_point(subset_sum, m: int, n: int, weight: int, precision, tolerance, 
             f"({orbits} rotation orbits times {weight} per term) and {table} for the root "
             f"table ({2 * n} entries times {_ENTRY_WEIGHT}) exceed the limit {_MAX_WORK}"
         )
-    if roots is None:
-        roots = lg_roots(m, n, DEFAULT_PRECISION if precision is None else precision)
-    elif (roots.m % 2, roots.n) != (m % 2, n):
-        raise ValueError("supplied root system does not match m, n")
-    elif precision is not None and precision != roots.precision:
-        raise ValueError("supplied root system has a different precision")
-    total, bound = subset_sum(roots)
-    return _finalize(total, bound, m, n, roots.precision, tolerance)
+    total, bound = subset_sum(lg_roots(m, n, precision))
+    return _finalize(total, bound, m, n, precision, tolerance)
 
 
 def _degree_sum(lams, exponent: int, sys: LGRootSystem):
@@ -524,7 +521,7 @@ def _degree_sum(lams, exponent: int, sys: LGRootSystem):
     m(m-1)/2 + sum lam_j + E = mn + nd is a multiple of n."""
     lib = _kernel()
     prec, rnd = sys.precision, lib.round_nearest
-    errs = _root_errors(sys.powers, prec)
+    errs = _root_errors(sys.n, prec)
 
     def summand(head, exponents, qs, ds):
         coeffs = _det_coefficients(exponents, lams, sys.n)
@@ -556,16 +553,15 @@ def vi_degree(
     d: int,
     m: int,
     p: int,
-    precision: int | None = None,
+    precision: int = DEFAULT_PRECISION,
     tolerance: float = DEFAULT_TOLERANCE,
-    roots: LGRootSystem | None = None,
 ) -> NumericResult:
     """Degree of the subvariety named by (columns; d) as a fixed-point sum.
 
     Sums Delta(q) * det[q_i^(n + 1 - c_j)] * (sum q)^E over m-subsets q of
     the roots, with c_j the columns (a tuple, c_1 < ... < c_m) and
     E = |columns| + n*d the subvariety's dimension, then scales by
-    (-1)^(m(m-1)/2) / n^m.
+    (-1)^(m(m-1)/2) / n^m, working at `precision` bits.
     """
     symbol = SchubertSymbol(columns, d)
     n = m + p
@@ -575,7 +571,7 @@ def vi_degree(
     lams = [n + 1 - c for c in symbol.columns]
     return _fixed_point(
         lambda sys: _degree_sum(lams, exponent, sys),  # _det takes 2^m m products
-        m, n, 2**m * m, precision, tolerance, roots,
+        m, n, 2**m * m, precision, tolerance,
     )
 
 
@@ -654,7 +650,7 @@ def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
     (weight m(m-1) + m + sum l a_l = mn + nq)."""
     lib = _kernel()
     m, prec, rnd = spec.m, sys.precision, lib.round_nearest
-    errs = _root_errors(sys.powers, prec)
+    errs = _root_errors(sys.n, prec)
     elementary = _elementary_errors(m, max(errs[1 - m % 2 :: 2]), prec)
 
     def summand(head, exponents, qs, ds):
@@ -672,16 +668,15 @@ def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
 
 def vi_correlator(
     spec: CorrelatorSpec,
-    precision: int | None = None,
+    precision: int = DEFAULT_PRECISION,
     tolerance: float = DEFAULT_TOLERANCE,
-    roots: LGRootSystem | None = None,
 ) -> NumericResult:
-    """Genus-zero correlator of powers of the generator classes.
+    """Genus-zero correlator of powers of the generator classes, at `precision` bits.
 
     Each critical subset contributes the class values times the inverse
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
     return _fixed_point(
         lambda sys: _correlator_sum(spec, sys),  # e_0..e_m, Delta and their bounds
-        spec.m, spec.m + spec.p, 8 * spec.m**2, precision, tolerance, roots,
+        spec.m, spec.m + spec.p, 8 * spec.m**2, precision, tolerance,
     )

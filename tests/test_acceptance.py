@@ -22,7 +22,6 @@ from quotdeg.indices import (
 from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 from quotdeg.vafa import (
     CorrelatorSpec,
-    lg_roots,
     powersum_determinant,
     vi_correlator,
     vi_degree,
@@ -98,12 +97,11 @@ def test_c03_three_methods_agree():
         for m in range(1, n):
             p = n - m
             table = RecurrenceTable(m, n)
-            roots = lg_roots(m, n)
             for cols, d in valid_symbols(m, p, 18):
                 alpha = schubert_to_composite(SchubertSymbol(cols, d), n)
                 ch = degree_chain(alpha, memo)
                 rec = table.degree(alpha.entries)
-                vi = vi_degree(cols, d, m, p, roots=roots)
+                vi = vi_degree(cols, d, m, p)
                 worst = max(worst, vi.residual, vi.imag)
                 cases += 1
                 if not (ch == rec == vi.value):

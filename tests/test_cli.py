@@ -412,6 +412,26 @@ def test_degree_verbose_adds_evidence(capsys):
     assert "residual" in doc["methods"]["vi"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--m", "2", "--p", "2", "--max-q", "2"),
+        ("chains", "--n", "4", "--alpha", "3,6"),
+        ("verify", "--max-n", "3", "--max-dim", "4"),
+    ],
+    ids=["table", "chains", "verify"],
+)
+def test_verbose_adds_only_elapsed_ms(capsys, argv):
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--verbose")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[-1] == "elapsed_ms"
+    assert float(doc.pop("elapsed_ms")) >= 0
+    assert doc == json.loads(plain)
+
+
 def test_precision_environment_variable_is_ignored(capsys, monkeypatch):
     # precision comes from --precision alone; an integer-only request runs no
     # fixed-point sum and must not read any precision setting

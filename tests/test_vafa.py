@@ -244,14 +244,6 @@ def test_vi_degree_validation():
         vi_degree(SchubertSymbol((3, 4), 1), 0, 2, 2)  # columns only, never a symbol
 
 
-def test_vi_degree_accepts_prebuilt_roots():
-    sys = lg_roots(2, 4, precision=64)
-    result = vi_degree((3, 4), 1, 2, 2, roots=sys)
-    assert result.value == 8
-    assert result.precision == 64
-    assert result == vi_degree((3, 4), 1, 2, 2, precision=64)
-
-
 @pytest.mark.parametrize(
     "top",
     [
@@ -262,16 +254,28 @@ def test_vi_degree_accepts_prebuilt_roots():
     ],
     ids=["vi_degree", "vi_correlator"],
 )
-def test_vi_sums_refuse_mismatched_roots(top):
+def test_vi_sums_take_their_precision(top):
     # the degree of the whole order-1 space, as a degree and as <sigma_1^dim>
-    sys = lg_roots(2, 4, precision=64)
-    assert top(2, 2, roots=sys).value == 8
-    with pytest.raises(ValueError, match="different precision"):
-        top(2, 2, precision=53, roots=sys)
-    with pytest.raises(ValueError, match="does not match"):
-        top(2, 3, roots=sys)  # wrong n
-    with pytest.raises(ValueError, match="does not match"):
-        top(3, 1, roots=sys)  # wrong parity
+    assert top(2, 2).precision == 53
+    for precision in (64, 100):
+        result = top(2, 2, precision=precision)
+        assert result.value == 8
+        assert result.precision == precision
+
+
+def test_sums_build_each_zeta_table_once():
+    # the working table and the one _root_errors measures it against
+    import quotdeg.vafa as vafa
+
+    vafa._zeta_table.cache_clear()
+    vafa._root_errors.cache_clear()
+    first = vi_degree((3, 4), 1, 2, 2, precision=64)
+    assert vi_correlator(CorrelatorSpec.from_powers((8, 0), 2, 2), precision=64).value == 8
+    assert vi_degree((3, 4), 1, 2, 2, precision=64) == first
+    # built: (4, 64) by lg_roots and (4, 148) by _root_errors; every other
+    # lookup, _root_errors' first of (4, 64) and two lg_roots calls, hits
+    info = vafa._zeta_table.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 @pytest.mark.parametrize(
@@ -636,14 +640,6 @@ def test_correlator_of_hyperplane_powers_is_the_degree():
                 assert vi_correlator(spec, precision=80).value == top_degree(m, p, q)
 
 
-def test_correlator_shares_root_systems():
-    sys = lg_roots(2, 4, precision=100)
-    spec = CorrelatorSpec.from_powers((8, 0), 2, 2)
-    result = vi_correlator(spec, roots=sys)
-    assert result.value == 8
-    assert result.precision == 100
-
-
 def _all_subsets_sum(m, sys, term):
     """Compensated sum of term(roots) over all C(n, m) subsets of the roots:
     the loop the orbit sum replaced, kept as an oracle."""
@@ -759,7 +755,7 @@ def test_root_errors_bound_the_table():
     for n in range(2, 13):
         for precision in (4, 5, 12, 53, 104):
             sys = lg_roots(1, n, precision)
-            errs = _root_errors(sys.powers, precision)
+            errs = _root_errors(n, precision)
             with workprec(4 * precision + 40):
                 for r, z in enumerate(sys.powers):
                     exact = mp.expjpi(mpf(r) / n)
@@ -774,7 +770,7 @@ def test_elementary_errors_bound_the_computed_e():
             for precision in (4, 12, 53):
                 parity = 1 - m % 2
                 sys = lg_roots(m, n, precision)
-                errs = _root_errors(sys.powers, precision)[parity::2]
+                errs = _root_errors(n, precision)[parity::2]
                 bounds = _elementary_errors(m, max(errs), precision)
                 exact_roots = lg_roots(m, n, 4 * precision + 40).roots
                 for subset in itertools.combinations(range(n), m):
