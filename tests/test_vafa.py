@@ -244,6 +244,21 @@ def test_vi_degree_validation():
         vi_degree(SchubertSymbol((3, 4), 1), 0, 2, 2)  # columns only, never a symbol
 
 
+def test_vi_degree_accepts_prebuilt_roots():
+    # the table lg_roots built beforehand is the one the sum reads; the sum
+    # builds only _root_errors' reference table at 2 * 64 + 20 bits
+    import quotdeg.vafa as vafa
+
+    vafa._zeta_table.cache_clear()
+    vafa._root_errors.cache_clear()
+    sys = lg_roots(2, 4, precision=64)
+    result = vi_degree((3, 4), 1, 2, 2, precision=64)
+    assert result.value == 8
+    assert result.precision == 64
+    assert vafa._zeta_table.cache_info().misses == 2
+    assert lg_roots(2, 4, precision=64).powers is sys.powers
+
+
 @pytest.mark.parametrize(
     "top",
     [
@@ -254,16 +269,22 @@ def test_vi_degree_validation():
     ],
     ids=["vi_degree", "vi_correlator"],
 )
-def test_vi_sums_take_their_precision(top):
-    # the degree of the whole order-1 space, as a degree and as <sigma_1^dim>
+def test_vi_sums_refuse_mismatched_roots(top):
+    # the degree of the whole order-1 space, as a degree and as <sigma_1^dim>;
+    # no root system can be handed in, so each sum builds the one its n,
+    # parity and precision name
+    with pytest.raises(TypeError):
+        top(2, 2, roots=lg_roots(2, 4, precision=64))
     assert top(2, 2).precision == 53
     for precision in (64, 100):
         result = top(2, 2, precision=precision)
         assert result.value == 8
         assert result.precision == precision
+    assert top(2, 3).value == top_degree(2, 3, 1)  # another n
+    assert top(3, 1).value == top_degree(3, 1, 1)  # another parity
 
 
-def test_sums_build_each_zeta_table_once():
+def test_correlator_shares_root_systems():
     # the working table and the one _root_errors measures it against
     import quotdeg.vafa as vafa
 
