@@ -193,15 +193,17 @@ def enumerate_chains(alpha: CompositeIndex, cap: int = DEFAULT_CHAIN_CAP) -> Cha
     return ChainEnumeration(tuple(chains), total, total > len(chains))
 
 
-def degree_bruteforce(alpha: CompositeIndex, max_dim: int = DEFAULT_BRUTEFORCE_BOUND) -> int:
+def degree_bruteforce(alpha: CompositeIndex) -> int:
     """Uncached path count from the bottom, as an oracle for degree_chain.
 
     Counts the chains of enumerate_chains' upward walk, one increment at a
     time with no memo table, so its cost is the degree itself; refuses
-    indices of dimension above max_dim.
+    indices of dimension above DEFAULT_BRUTEFORCE_BOUND.
     """
     _require_window(alpha)
     dim = dimension(alpha)
-    if dim > max_dim:
-        raise ValueError(f"dimension {dim} exceeds the brute-force bound {max_dim}")
+    if dim > DEFAULT_BRUTEFORCE_BOUND:
+        raise ValueError(
+            f"dimension {dim} exceeds the brute-force bound {DEFAULT_BRUTEFORCE_BOUND}"
+        )
     return sum(1 for _ in _iter_chain_tuples(alpha.entries, alpha.n))

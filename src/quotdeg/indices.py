@@ -50,6 +50,15 @@ class _OwnTypeEquality:
     __hash__ = tuple.__hash__
 
 
+def _integer(value, error=ValueError) -> int:
+    """int(value), refusing with `error` any value that int() would change:
+    "1", 2.0 and True pass, 1.9 and Fraction(5, 2) do not."""
+    whole = int(value)
+    if whole != value and not isinstance(value, str):
+        raise error(f"{value!r} is not an integer")
+    return whole
+
+
 class CompositeIndex(_OwnTypeEquality, namedtuple("CompositeIndex", "entries n")):
     """Strictly increasing tuple of positive ints, pairwise distinct mod n
     (an immutable named tuple, validated on construction)."""
@@ -57,8 +66,8 @@ class CompositeIndex(_OwnTypeEquality, namedtuple("CompositeIndex", "entries n")
     __slots__ = ()
 
     def __new__(cls, entries, n):
-        entries = tuple(int(a) for a in entries)
-        n = int(n)
+        entries = tuple(_integer(a, InvalidIndexError) for a in entries)
+        n = _integer(n, InvalidIndexError)
         if n < 2:
             raise InvalidIndexError(f"period must be at least 2, got {n}")
         if not entries:
@@ -96,8 +105,8 @@ class SchubertSymbol(_OwnTypeEquality, namedtuple("SchubertSymbol", "columns off
     __slots__ = ()
 
     def __new__(cls, columns, offset=0):
-        columns = tuple(int(c) for c in columns)
-        offset = int(offset)
+        columns = tuple(_integer(c, InvalidIndexError) for c in columns)
+        offset = _integer(offset, InvalidIndexError)
         if not columns:
             raise InvalidIndexError("column set needs at least one entry")
         if columns[0] < 1:

@@ -33,7 +33,7 @@ sums its first-entry move like every other pattern.
 
 from __future__ import annotations
 
-from .indices import SchubertSymbol, check_lower_set, schubert_to_composite
+from .indices import SchubertSymbol, _integer, check_lower_set, schubert_to_composite
 
 
 class RecurrenceTable:
@@ -71,7 +71,7 @@ class RecurrenceTable:
     def degree(self, entries: tuple[int, ...]) -> int:
         """Recurrence value at `entries`; 0 for any boundary or outside probe.
         A box too large to fill is refused up front (indices.check_lower_set)."""
-        t = tuple(int(x) for x in entries)
+        t = tuple(_integer(x) for x in entries)
         if len(t) != self.m:
             raise ValueError(f"expected {self.m} entries, got {t}")
         n, values = self.n, self.values

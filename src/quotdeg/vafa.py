@@ -18,7 +18,7 @@ zeta^s becomes 2^(width s), one Laplace expansion over column subsets gives
 an integer whose signed base-2^width digits are the determinant's
 coefficients on the powers of zeta, read off by a single dot product.
 
-Both sums run through one loop, _orbit_terms.  Rotating the roots by
+Both sums run through one loop, _orbit_sum.  Rotating the roots by
 zeta^2 = e^(2 pi i/n) permutes the subsets and fixes every term, since
 each term's total degree in the roots is a multiple of n, so the loop
 takes one term per rotation orbit, the orbit's least member, times the
@@ -61,7 +61,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .indices import InvalidIndexError, SchubertSymbol, _OwnTypeEquality, symbol_dimension
+from .indices import InvalidIndexError, SchubertSymbol, _OwnTypeEquality, _integer, symbol_dimension
 
 DEFAULT_PRECISION = 53
 DEFAULT_TOLERANCE = 1e-6
@@ -169,7 +169,8 @@ def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem
         raise ValueError(f"m must be positive, got {m}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    return LGRootSystem(m, n, precision, _zeta_table(n, check_precision(precision)))
+    precision = check_precision(precision)
+    return LGRootSystem(m, n, precision, _zeta_table(n, precision))
 
 
 def _det(rows):
@@ -216,7 +217,7 @@ def _det_coefficients(exponents, lams, n: int) -> list[int]:
 
 def _parts(mu, m: int) -> tuple[int, ...]:
     # normalize a sequence to exactly m weakly decreasing nonnegative parts
-    parts = tuple(int(x) for x in mu)
+    parts = tuple(_integer(x) for x in mu)
     if len(parts) > m:
         if any(parts[m:]):
             raise ValueError(f"{parts} has more than {m} nonzero parts")
@@ -232,6 +233,8 @@ def _parts(mu, m: int) -> tuple[int, ...]:
 def power_sum(k: int, m: int, n: int) -> int:
     """Exact sum of k-th powers of the roots of z^n = (-1)^(m+1):
     zero unless n divides k = j*n, and then n * (-1)^(j*(m-1))."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
     j, r = divmod(k, n)
@@ -268,8 +271,10 @@ _MAX_PRECISION = 1024
 
 
 def check_precision(precision: int) -> int:
-    """Return `precision` if it is in [4, _MAX_PRECISION] bits; raise
-    ValueError otherwise, before any root is computed."""
+    """Return `precision` as an int if it is a whole number of bits in
+    [4, _MAX_PRECISION]; raise ValueError otherwise, before any root is
+    computed."""
+    precision = _integer(precision)
     if precision < 4:
         raise ValueError(f"precision must be at least 4 bits, got {precision}")
     if precision > _MAX_PRECISION:
@@ -370,43 +375,6 @@ def _product_error(value, factors, roundings: int, precision: int):
     return mul(bound, slack, 53, rnd)
 
 
-def _orbit_sum(weighted, precision: int):
-    """Compensated sum, at the working precision, of size * term over
-    (size, term, error) triples, and a bound on its distance from the sum
-    of size * (exact term): a raw kernel complex number and a raw real.
-
-    With y, a and comp each step's corrected input, rounded increment and
-    new compensation, total - comp stays the sum of the inputs up to the
-    roundings of y, a and comp, so the loop's own error is at most
-    |comp| + (u/2) / (1 - u/2) * sum(|size * term| + |y| + |a| + |comp|),
-    u = 2^(1 - precision).
-    """
-    lib = _kernel()
-    rnd = lib.round_nearest
-    add, sub, mag = lib.mpc_add, lib.mpc_sub, lib.mpc_abs
-    total = comp = (lib.fzero, lib.fzero)
-    errors, moduli = [], []
-    for size, term, error in weighted:
-        w = lib.mpc_mul_int(term, size, precision, rnd)
-        y = sub(w, comp, precision, rnd)
-        tmp = add(total, y, precision, rnd)
-        a = sub(tmp, total, precision, rnd)
-        comp = sub(a, y, precision, rnd)
-        total = tmp
-        errors.append(lib.mpf_mul_int(error, size, 53, rnd))
-        moduli += (mag(w, precision, rnd), mag(y, precision, rnd),
-                   mag(a, precision, rnd), mag(comp, precision, rnd))
-    u = lib.mpf_pow_int(lib.from_int(2), 1 - precision, 53, rnd)
-    # the moduli were rounded at the working precision, hence 1 + u
-    loop = lib.mpf_mul(lib.mpf_mul(u, lib.from_float(0.54), 53, rnd), lib.mpf_sum(moduli, 53, rnd),
-                       53, rnd)
-    loop = lib.mpf_add(mag(comp, 53, rnd), loop, 53, rnd)
-    loop = lib.mpf_mul(loop, lib.mpf_add(u, lib.fone, 53, rnd), 53, rnd)
-    bound = lib.mpf_add(lib.mpf_sum(errors, 53, rnd), loop, 53, rnd)
-    bound = lib.mpf_mul(bound, lib.from_float(_BOUND_SLACK), 53, rnd)
-    return total, bound
-
-
 def _rotation_orbits(n: int, m: int):
     """(representative, size) for each orbit of the rotation k -> k + 1
     (mod n) on the m-subsets of range(n).
@@ -446,28 +414,40 @@ def _root_errors(n: int, precision: int) -> tuple[float, ...]:
     return tuple(lib.to_float(e, rnd=rnd) + 2**-10 for e in errors)
 
 
-def _orbit_terms(m: int, sys: LGRootSystem, errs: tuple, power: int, summand):
-    """(size, term, error bound) for each rotation orbit of the m-subsets
-    of the roots, term = Delta^power * (the rest), from its least member;
-    errs are the zeta table's errors, from _root_errors.
+def _orbit_sum(m: int, sys: LGRootSystem, power: int, summand):
+    """Compensated sum, at the working precision, of size * term over the
+    rotation orbits of the m-subsets of the roots, and a bound on its
+    distance from the sum of size * (exact term): a raw kernel complex
+    number and a raw real.
 
+    Each orbit's term is Delta^power * (the rest), from its least member.
     Delta is the product of the differences q~_i - q~_j, i < j, each off by
-    the two roots' errors d_i + d_j plus its rounding, 2^-precision
-    |q~_i - q~_j| <= (1 + (d_i + d_j) u / 2) u.  summand(Delta^power,
-    exponents, qs, ds) multiplies in the rest of the term and returns it
-    with its other factors (x~, d, a) and roundings; the Vandermonde
-    products after the first add len(diffs) roundings.
+    the two roots' errors d_i + d_j (from _root_errors) plus its rounding,
+    2^-precision |q~_i - q~_j| <= (1 + (d_i + d_j) u / 2) u.
+    summand(Delta^power, exponents, qs, ds) multiplies in the rest of the
+    term and returns it with its other factors (x~, d, a) and roundings; the
+    Vandermonde products after the first add len(diffs) roundings, and
+    _product_error bounds the term.
+
+    With y, a and comp each step's corrected input, rounded increment and
+    new compensation, total - comp stays the sum of the inputs up to the
+    roundings of y, a and comp, so the loop's own error is at most
+    |comp| + (u/2) / (1 - u/2) * sum(|size * term| + |y| + |a| + |comp|),
+    u = 2^(1 - precision).
     """
     lib = _kernel()
     prec, rnd = sys.precision, lib.round_nearest
-    half = 2.0**-prec
+    add, sub, mag = lib.mpc_add, lib.mpc_sub, lib.mpc_abs
+    errs, half = _root_errors(sys.n, prec), 2.0**-prec
+    total = comp = (lib.fzero, lib.fzero)
+    errors, moduli = [], []
     for rep, size in _rotation_orbits(sys.n, m):
         # root k is zeta^(2k) for odd m and zeta^(2k+1) for even m
         exponents = [2 * k + 1 - m % 2 for k in rep]
         qs = [sys.powers[e] for e in exponents]
         ds = [errs[e] for e in exponents]
         diffs = [
-            (lib.mpc_sub(qs[i], qs[j], prec, rnd), ds[i] + ds[j] + 1 + (ds[i] + ds[j]) * half)
+            (sub(qs[i], qs[j], prec, rnd), ds[i] + ds[j] + 1 + (ds[i] + ds[j]) * half)
             for i, j in itertools.combinations(range(m), 2)
         ]
         head = lib.mpc_one  # times 1 is exact, so Delta is the product of the diffs
@@ -477,7 +457,24 @@ def _orbit_terms(m: int, sys: LGRootSystem, errs: tuple, power: int, summand):
             lib.mpc_pow_int(head, power, prec, rnd), exponents, qs, ds
         )
         factors = [(x, d, power) for x, d in diffs] + factors
-        yield size, term, _product_error(term, factors, len(diffs) + roundings, prec)
+        error = _product_error(term, factors, len(diffs) + roundings, prec)
+        w = lib.mpc_mul_int(term, size, prec, rnd)
+        y = sub(w, comp, prec, rnd)
+        tmp = add(total, y, prec, rnd)
+        a = sub(tmp, total, prec, rnd)
+        comp = sub(a, y, prec, rnd)
+        total = tmp
+        errors.append(lib.mpf_mul_int(error, size, 53, rnd))
+        moduli += (mag(w, prec, rnd), mag(y, prec, rnd), mag(a, prec, rnd), mag(comp, prec, rnd))
+    u = lib.mpf_pow_int(lib.from_int(2), 1 - prec, 53, rnd)
+    # the moduli were rounded at the working precision, hence 1 + u
+    loop = lib.mpf_mul(lib.mpf_mul(u, lib.from_float(0.54), 53, rnd), lib.mpf_sum(moduli, 53, rnd),
+                       53, rnd)
+    loop = lib.mpf_add(mag(comp, 53, rnd), loop, 53, rnd)
+    loop = lib.mpf_mul(loop, lib.mpf_add(u, lib.fone, 53, rnd), 53, rnd)
+    bound = lib.mpf_add(lib.mpf_sum(errors, 53, rnd), loop, 53, rnd)
+    bound = lib.mpf_mul(bound, lib.from_float(_BOUND_SLACK), 53, rnd)
+    return total, bound
 
 
 # The largest fixed-point sum admitted, in orbits times the weight of a term.
@@ -498,10 +495,11 @@ _ENTRY_WEIGHT = 64
 
 
 def _fixed_point(subset_sum, m: int, n: int, weight: int, precision: int, tolerance: float):
-    """Check the tolerance and the work, then round subset_sum(lg_roots(m, n,
-    precision)).  The work, ceil(C(n, m) / n) orbits times `weight` per term
-    plus 2n table entries times _ENTRY_WEIGHT, is known before any root is
-    computed."""
+    """Check the precision, the tolerance and the work, then round
+    subset_sum(lg_roots(m, n, precision)).  The work, ceil(C(n, m) / n)
+    orbits times `weight` per term plus 2n table entries times
+    _ENTRY_WEIGHT, is known before any root is computed."""
+    precision = check_precision(precision)
     check_tolerance(tolerance)
     orbits = -(-math.comb(n, m) // n)
     table = 2 * n * _ENTRY_WEIGHT
@@ -545,7 +543,7 @@ def _degree_sum(lams, exponent: int, sys: LGRootSystem):
         # the dot product, E for the power and the two joining products
         return term, factors, exponent + 2
 
-    return _orbit_sum(_orbit_terms(len(lams), sys, errs, 1, summand), prec)
+    return _orbit_sum(len(lams), sys, 1, summand)
 
 
 def vi_degree(
@@ -588,7 +586,7 @@ class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p 
     def __new__(cls, powers, m, p):
         if m < 1 or p < 1:
             raise ValueError(f"m and p must be positive, got m={m} p={p}")
-        powers = tuple(int(a) for a in powers)
+        powers = tuple(_integer(a) for a in powers)
         if len(powers) != m:
             raise ValueError(f"expected {m} exponents, got {powers}")
         if any(a < 0 for a in powers):
@@ -650,8 +648,7 @@ def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
     (weight m(m-1) + m + sum l a_l = mn + nq)."""
     lib = _kernel()
     m, prec, rnd = spec.m, sys.precision, lib.round_nearest
-    errs = _root_errors(sys.n, prec)
-    elementary = _elementary_errors(m, max(errs[1 - m % 2 :: 2]), prec)
+    elementary = _elementary_errors(m, max(_root_errors(sys.n, prec)[1 - m % 2 :: 2]), prec)
 
     def summand(head, exponents, qs, ds):
         e = _elementary_all(qs, prec)
@@ -663,7 +660,7 @@ def _correlator_sum(spec: CorrelatorSpec, sys: LGRootSystem):
                 roundings += a + 1
         return term, factors, roundings
 
-    return _orbit_sum(_orbit_terms(m, sys, errs, 2, summand), prec)
+    return _orbit_sum(m, sys, 2, summand)
 
 
 def vi_correlator(

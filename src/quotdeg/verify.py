@@ -201,7 +201,7 @@ def chain_oracle_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) ->
                 alpha = CompositeIndex(entries, n)
                 cases += 1
                 fast = degree_chain(alpha, memo)
-                slow = degree_bruteforce(alpha, max_dim=8)
+                slow = degree_bruteforce(alpha)
                 if fast != slow:
                     failures.append(f"n={n} alpha={entries}: worklist {fast} != walk {slow}")
     return SuiteResult("chain_oracle", cases, failures)

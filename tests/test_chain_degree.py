@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import quotdeg.chain_degree
 from quotdeg.chain_degree import (
+    DEFAULT_BRUTEFORCE_BOUND,
     degree_bruteforce,
     degree_chain,
     enumerate_chains,
@@ -287,10 +288,12 @@ def test_bruteforce_matches_chain(entries, n):
 
 
 def test_bruteforce_bound():
-    alpha = validate_index((4, 7), 4)  # dimension 8
-    assert degree_bruteforce(alpha, max_dim=8) == 8
-    with pytest.raises(ValueError):
-        degree_bruteforce(alpha, max_dim=7)
+    # the bound is a constant: dimension 8 and 10 are counted, 11 is refused
+    assert DEFAULT_BRUTEFORCE_BOUND == 10
+    assert degree_bruteforce(validate_index((4, 7), 4)) == 8  # dimension 8
+    assert degree_bruteforce(validate_index((6, 7), 4)) == 16  # dimension 10
+    with pytest.raises(ValueError, match="dimension 11 exceeds the brute-force bound 10"):
+        degree_bruteforce(validate_index((6, 8), 4))
 
 
 def test_rectangle_degrees_match_tableau_counts():

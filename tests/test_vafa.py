@@ -66,7 +66,9 @@ def test_roots_parity_only_depends_on_m_mod_2():
     assert lg_roots(2, 5).roots != a.roots
 
 
-def test_lg_roots_validation():
+def test_lg_roots_validation(monkeypatch):
+    import quotdeg.vafa as vafa
+
     with pytest.raises(ValueError):
         lg_roots(0, 4)
     with pytest.raises(ValueError):
@@ -78,6 +80,15 @@ def test_lg_roots_validation():
     with pytest.raises(ValueError, match="precision must be at most 1024 bits, got 200000"):
         vi_degree((3, 4), 1, 2, 2, precision=200000)
     assert lg_roots(2, 4, precision=1024).precision == 1024
+    # a non-integral precision once reached the kernel's shifts as a TypeError
+    monkeypatch.setattr(vafa, "_zeta_table", lambda *args: pytest.fail("a table was built"))
+    for request in (
+        lambda: lg_roots(2, 4, precision=53.5),
+        lambda: vi_degree((3, 4), 1, 2, 2, precision=53.5),
+        lambda: vi_correlator(CorrelatorSpec((8, 0), 2, 2), precision=53.5),
+    ):
+        with pytest.raises(ValueError, match="^53.5 is not an integer$"):
+            request()
 
 
 def test_zeta_table_entries_are_the_roots_bit_for_bit():
@@ -177,6 +188,12 @@ def test_power_sum_matches_roots_numerically():
 def test_power_sum_rejects_negative_exponent():
     with pytest.raises(ValueError):
         power_sum(-1, 2, 4)
+    # and a period below 1, which once returned -3.0 or divided by zero
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+            power_sum(6, 2, n)
+        with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+            powersum_determinant((1,), 1, n)
 
 
 def _partitions(weight, max_parts, max_size):

@@ -10,10 +10,15 @@ from quotdeg import (
     ChainEnumeration,
     CompositeIndex,
     CorrelatorSpec,
+    InvalidIndexError,
     LGRootSystem,
     NumericResult,
+    RecurrenceTable,
     SchubertSymbol,
     VerifyReport,
+    powersum_determinant,
+    vi_correlator,
+    vi_degree,
 )
 from quotdeg.verify import SuiteResult
 
@@ -84,3 +89,21 @@ def test_value_type_contract():
     # q is inferred, never passed
     with pytest.raises(TypeError):
         CorrelatorSpec((8, 0), 2, 2, q=1)
+
+
+@pytest.mark.parametrize(
+    "build,error,value",
+    [
+        (lambda: CompositeIndex((1.9, 3), 4), InvalidIndexError, "1.9"),
+        (lambda: vi_degree((3, 4), 1.7, 2, 2), InvalidIndexError, "1.7"),
+        (lambda: vi_correlator(CorrelatorSpec((8.9, 0), 2, 2)), ValueError, "8.9"),
+        (lambda: RecurrenceTable(2, 4).degree((2.7, 3)), ValueError, "2.7"),
+        (lambda: powersum_determinant((2.5, 1.5), 2, 4), ValueError, "2.5"),
+    ],
+    ids=["CompositeIndex", "SchubertSymbol", "CorrelatorSpec", "RecurrenceTable", "parts"],
+)
+def test_non_integral_input_is_refused(build, error, value):
+    # int() once truncated each of these to a wrong answer: (1, 3) mod 4, a
+    # degree of 8, a correlator of 8, a recurrence value of 1, a determinant of 0
+    with pytest.raises(error, match=f"^{value} is not an integer$"):
+        build()

@@ -182,6 +182,7 @@ def test_run_verify_refuses_bad_precision_and_tolerance_up_front(monkeypatch):
     for kwargs, message in (
         ({"precision": 2}, "precision must be at least 4 bits, got 2"),
         ({"precision": 5000}, "precision must be at most 1024 bits, got 5000"),
+        ({"precision": 53.5}, "^53.5 is not an integer$"),
         ({"tolerance": float("nan")}, r"tolerance must be finite and in \(0, 0.5\), got nan"),
         ({"tolerance": 0.5}, r"tolerance must be finite and in \(0, 0.5\), got 0.5"),
     ):
