@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .indices import CompositeIndex, _OwnTypeEquality, _require_window
+from .indices import CompositeIndex, _OwnTypeEquality, _integer, _require_window
 from .indices import check_lower_set, dimension
 
 DEFAULT_CHAIN_CAP = 100_000
@@ -172,6 +172,7 @@ def enumerate_chains(alpha: CompositeIndex, cap: int = DEFAULT_CHAIN_CAP) -> Cha
     the total is known, before any chain is built.
     """
     _require_window(alpha)
+    cap = _integer(cap)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     total = degree_chain(alpha)

@@ -134,7 +134,7 @@ def validate_index(entries: Iterable[int], n: int) -> CompositeIndex:
 
 def bottom_index(m: int, n: int) -> CompositeIndex:
     """(1, 2, ..., m): the unique minimum of the windowed family."""
-    return CompositeIndex(tuple(range(1, m + 1)), n)
+    return CompositeIndex(tuple(range(1, _integer(m, InvalidIndexError) + 1)), n)
 
 
 def _check_same_space(alpha: CompositeIndex, beta: CompositeIndex) -> None:
@@ -195,7 +195,7 @@ def dimension(alpha: CompositeIndex) -> int:
 
 def symbol_dimension(s: SchubertSymbol, n: int) -> int:
     """|columns| + n * shift, the dimension of the subvariety the symbol names."""
-    return sum(c - l for l, c in enumerate(s.columns, start=1)) + n * s.offset
+    return sum(c - l for l, c in enumerate(s.columns, start=1)) + _integer(n) * s.offset
 
 
 def leq_componentwise(i: Iterable[int], j: Iterable[int]) -> bool:

@@ -43,6 +43,7 @@ class RecurrenceTable:
     """
 
     def __init__(self, m: int, n: int) -> None:
+        m, n = _integer(m), _integer(n)
         if m < 1:
             raise ValueError(f"m must be positive, got {m}")
         if n < 2:
@@ -117,6 +118,7 @@ class RecurrenceTable:
 
 def quot_degree(m: int, p: int, q: int) -> int:
     """Degree of the full order-q space in its ambient projective embedding."""
+    m, p, q = _integer(m), _integer(p), _integer(q)
     if m < 1 or p < 1:
         raise ValueError(f"m and p must be positive, got m={m} p={p}")
     if q < 0:

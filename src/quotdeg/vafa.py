@@ -165,6 +165,7 @@ def _zeta_table(n: int, prec: int) -> tuple:
 def lg_roots(m: int, n: int, precision: int = DEFAULT_PRECISION) -> LGRootSystem:
     """Roots of z^n = (-1)^(m+1): the n-th roots of unity for odd m,
     rotated by a half step for even m."""
+    m, n = _integer(m), _integer(n)
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if n < 2:
@@ -233,6 +234,7 @@ def _parts(mu, m: int) -> tuple[int, ...]:
 def power_sum(k: int, m: int, n: int) -> int:
     """Exact sum of k-th powers of the roots of z^n = (-1)^(m+1):
     zero unless n divides k = j*n, and then n * (-1)^(j*(m-1))."""
+    k, m, n = _integer(k), _integer(m), _integer(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if k < 0:
@@ -253,6 +255,7 @@ def powersum_determinant(mu, m: int, n: int) -> Fraction:
     """
     from fractions import Fraction
 
+    m, n = _integer(m), _integer(n)
     parts = _parts(mu, m)
     rows = [
         [power_sum(parts[j] + m + i - j, m, n) for j in range(m)]
@@ -561,6 +564,7 @@ def vi_degree(
     E = |columns| + n*d the subvariety's dimension, then scales by
     (-1)^(m(m-1)/2) / n^m, working at `precision` bits.
     """
+    m, p = _integer(m), _integer(p)
     symbol = SchubertSymbol(columns, d)
     n = m + p
     if symbol.m != m or symbol.columns[-1] > n:
@@ -584,6 +588,7 @@ class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p 
     __slots__ = ()
 
     def __new__(cls, powers, m, p):
+        m, p = _integer(m), _integer(p)
         if m < 1 or p < 1:
             raise ValueError(f"m and p must be positive, got m={m} p={p}")
         powers = tuple(_integer(a) for a in powers)

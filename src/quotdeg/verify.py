@@ -1,12 +1,15 @@
 """Cross-method and identity sweeps behind the verify command.
 
-Each suite exhaustively checks one contract over a bounded range and
-reports (cases, failures).  Results are plain data with deterministic
-ordering so the CLI can emit byte-identical reports for identical inputs.
+Each suite exhaustively checks one contract over a bounded grid, which its
+docstring states.  It is written as a generator that yields once per case,
+None for a pass or else the failure message, and _suite tallies the yields
+into its SuiteResult.  Results are plain data with deterministic ordering
+so the CLI can emit byte-identical reports for identical inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from collections.abc import Iterator
@@ -16,6 +19,7 @@ from .indices import (
     CompositeIndex,
     SchubertSymbol,
     _OwnTypeEquality,
+    _integer,
     bottom_index,
     composite_to_schubert,
     covers,
@@ -65,6 +69,27 @@ class VerifyReport(_OwnTypeEquality, namedtuple("VerifyReport", "suites")):
         return self.total_failures == 0
 
 
+def _suite(name: str):
+    """Make a generator that yields once per case, None for a pass or else
+    the failure message, into a suite function returning its SuiteResult."""
+
+    def decorate(checks):
+        @functools.wraps(checks)
+        def suite(*args, **kwargs) -> SuiteResult:
+            cases, failures = 0, []
+            for cases, failure in enumerate(checks(*args, **kwargs), start=1):
+                if failure is not None:
+                    failures.append(failure)
+            return SuiteResult(name, cases, failures)
+        return suite
+    return decorate
+
+
+def _spaces(max_n: int) -> Iterator[tuple[int, int]]:
+    """Each (n, m) with 2 <= n <= max_n and 1 <= m < n, in that order."""
+    return ((n, m) for n in range(2, max_n + 1) for m in range(1, n))
+
+
 def _column_sets(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each column set of base dimension b <= max_dim, with its shift count
     (max_dim - b) // n + 1: its symbols take d = 0 up to (max_dim - b) // n."""
@@ -84,7 +109,7 @@ def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...
 
 # The most symbols admitted, summed over every (m, n) with n <= max_n: the
 # roundtrip and cross_method suites run one case per symbol and pieri one
-# per index of the same count.  1,643 at max_n = 8, max_dim = 24; the limit
+# per index but each space's bottom.  1,643 at max_n = 8, max_dim = 24; the limit
 # admits max_dim up to 28 there, 87 at max_n = 6 and 1,999 at max_n = 2,
 # where a verify process took 0.8-1.4 s on a 2-vCPU VM (Python 3.11).  It
 # refuses max_n = 3, max_dim = 2000 (6,003 symbols, 1.6-2.6 s), and so every
@@ -101,110 +126,95 @@ def windowed_indices(n: int, m: int, max_dim: int) -> list[tuple[int, ...]]:
     )
 
 
-def base_case_suite(max_mp: int, precision: int, tolerance: float) -> SuiteResult:
-    """Bottom index has degree 1 in every space, all three methods."""
-    cases, failures = 0, []
-    for m in range(1, max_mp + 1):
-        for p in range(1, max_mp + 1):
-            n = m + p
-            cases += 1
-            bot = bottom_index(m, n)
-            ch = degree_chain(bot)
-            rec = RecurrenceTable(m, n).degree(bot.entries)
-            try:
-                vi = vi_degree(
-                    tuple(range(1, m + 1)), 0, m, p, precision=precision, tolerance=tolerance
-                ).value
-            except ToleranceError as exc:
-                failures.append(f"m={m} p={p} bottom vi failed: {exc}")
+@_suite("base_case")
+def base_case_suite(max_mp: int, precision: int, tolerance: float):
+    """Bottom index has degree 1 in every space with 1 <= m, p <= max_mp, by
+    all three methods.  run_verify passes min(max_n - 1, 4), so the periods
+    m + p run up to 8, past max_n."""
+    for m, p in itertools.product(range(1, max_mp + 1), repeat=2):
+        n = m + p
+        bot = bottom_index(m, n)
+        ch = degree_chain(bot)
+        rec = RecurrenceTable(m, n).degree(bot.entries)
+        try:
+            vi = vi_degree(
+                tuple(range(1, m + 1)), 0, m, p, precision=precision, tolerance=tolerance
+            ).value
+        except ToleranceError as exc:
+            yield f"m={m} p={p} bottom vi failed: {exc}"
+            continue
+        yield None if ch == rec == vi == 1 else (
+            f"m={m} p={p} bottom degrees chain={ch} recurrence={rec} vi={vi}"
+        )
+
+
+@_suite("roundtrip")
+def roundtrip_suite(max_n: int, max_dim: int):
+    """Symbol <-> index conversions invert each other and match dimensions,
+    on every symbol with n <= max_n and dimension <= max_dim."""
+    for n, m in _spaces(max_n):
+        for cols, d in valid_symbols(m, n - m, max_dim):
+            s = SchubertSymbol(cols, d)
+            alpha = schubert_to_composite(s, n)
+            back = composite_to_schubert(alpha)
+            if back != s:
+                yield f"n={n} {s} -> {alpha} -> {back}"
                 continue
-            if not ch == rec == vi == 1:
-                failures.append(f"m={m} p={p} bottom degrees chain={ch} recurrence={rec} vi={vi}")
-    return SuiteResult("base_case", cases, failures)
+            got, want = dimension(alpha), symbol_dimension(s, n)
+            yield None if got == want else f"n={n} {s}: dimension {got} != {want}"
 
 
-def roundtrip_suite(max_n: int, max_dim: int) -> SuiteResult:
-    """Symbol <-> index conversions invert each other and match dimensions."""
-    cases, failures = 0, []
-    for n in range(2, max_n + 1):
-        for m in range(1, n):
-            p = n - m
-            for cols, d in valid_symbols(m, p, max_dim):
-                cases += 1
-                s = SchubertSymbol(cols, d)
-                alpha = schubert_to_composite(s, n)
-                back = composite_to_schubert(alpha)
-                if back != s:
-                    failures.append(f"n={n} {s} -> {alpha} -> {back}")
-                    continue
-                if dimension(alpha) != symbol_dimension(s, n):
-                    failures.append(
-                        f"n={n} {s}: dimension {dimension(alpha)} != "
-                        f"{symbol_dimension(s, n)}"
-                    )
-    return SuiteResult("roundtrip", cases, failures)
-
-
+@_suite("cross_method")
 def cross_method_suite(
     max_n: int, max_dim: int, precision: int, tolerance: float, memos: dict[int, MemoTable]
-) -> SuiteResult:
-    """chain = recurrence = fixed-point sum on every subvariety in range;
-    `memos` holds one chain memo per period n."""
-    cases, failures = 0, []
-    for n in range(2, max_n + 1):
+):
+    """chain = recurrence = fixed-point sum on every symbol with n <= max_n
+    and dimension <= max_dim; `memos` holds one chain memo per period n."""
+    for n, m in _spaces(max_n):
+        memo, table = memos.setdefault(n, {}), RecurrenceTable(m, n)
+        for cols, d in valid_symbols(m, n - m, max_dim):
+            alpha = schubert_to_composite(SchubertSymbol(cols, d), n)
+            ch = degree_chain(alpha, memo)
+            rec = table.degree(alpha.entries)
+            try:
+                vi = vi_degree(cols, d, m, n - m, precision=precision, tolerance=tolerance).value
+            except ToleranceError as exc:
+                yield f"n={n} i={cols} d={d}: vi failed: {exc}"
+                continue
+            yield None if ch == rec == vi else (
+                f"n={n} i={cols} d={d}: chain={ch} recurrence={rec} vi={vi}"
+            )
+
+
+@_suite("pieri")
+def pieri_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]):
+    """degree(alpha) equals the sum of degrees over its lower covers, on
+    every windowed index with n <= max_n and dimension <= max_dim but each
+    space's bottom."""
+    for n, m in _spaces(max_n):
         memo = memos.setdefault(n, {})
-        for m in range(1, n):
-            p = n - m
-            table = RecurrenceTable(m, n)
-            for cols, d in valid_symbols(m, p, max_dim):
-                cases += 1
-                alpha = schubert_to_composite(SchubertSymbol(cols, d), n)
-                ch = degree_chain(alpha, memo)
-                rec = table.degree(alpha.entries)
-                try:
-                    vi = vi_degree(cols, d, m, p, precision=precision, tolerance=tolerance).value
-                except ToleranceError as exc:
-                    failures.append(f"n={n} i={cols} d={d}: vi failed: {exc}")
-                    continue
-                if not ch == rec == vi:
-                    failures.append(f"n={n} i={cols} d={d}: chain={ch} recurrence={rec} vi={vi}")
-    return SuiteResult("cross_method", cases, failures)
+        # all but the first, the bottom (1, ..., m), which covers nothing
+        for entries in windowed_indices(n, m, max_dim)[1:]:
+            alpha = CompositeIndex(entries, n)
+            total = sum(degree_chain(b, memo) for b in lower_covers(alpha))
+            got = degree_chain(alpha, memo)
+            yield None if got == total else (
+                f"n={n} alpha={entries}: degree {got} != cover sum {total}"
+            )
 
 
-def pieri_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) -> SuiteResult:
-    """degree(alpha) equals the sum of degrees over its lower covers."""
-    cases, failures = 0, []
-    for n in range(2, max_n + 1):
-        memo = memos.setdefault(n, {})
-        for m in range(1, n):
-            bottom = bottom_index(m, n)
-            for entries in windowed_indices(n, m, max_dim):
-                alpha = CompositeIndex(entries, n)
-                if alpha == bottom:
-                    continue
-                cases += 1
-                total = sum(degree_chain(b, memo) for b in lower_covers(alpha))
-                got = degree_chain(alpha, memo)
-                if got != total:
-                    failures.append(f"n={n} alpha={entries}: degree {got} != cover sum {total}")
-    return SuiteResult("pieri", cases, failures)
-
-
-def chain_oracle_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]) -> SuiteResult:
+@_suite("chain_oracle")
+def chain_oracle_suite(max_n: int, max_dim: int, memos: dict[int, MemoTable]):
     """Memoized post-order walk agrees with the uncached upward walk behind
-    enumerate_chains (small range)."""
-    cases, failures = 0, []
-    for n in range(2, min(max_n, 5) + 1):
+    enumerate_chains, on every windowed index with n <= min(max_n, 5) and
+    dimension <= min(max_dim, 8)."""
+    for n, m in _spaces(min(max_n, 5)):
         memo = memos.setdefault(n, {})
-        for m in range(1, n):
-            for entries in windowed_indices(n, m, min(max_dim, 8)):
-                alpha = CompositeIndex(entries, n)
-                cases += 1
-                fast = degree_chain(alpha, memo)
-                slow = degree_bruteforce(alpha)
-                if fast != slow:
-                    failures.append(f"n={n} alpha={entries}: worklist {fast} != walk {slow}")
-    return SuiteResult("chain_oracle", cases, failures)
+        for entries in windowed_indices(n, m, min(max_dim, 8)):
+            alpha = CompositeIndex(entries, n)
+            fast = degree_chain(alpha, memo)
+            slow = degree_bruteforce(alpha)
+            yield None if fast == slow else f"n={n} alpha={entries}: worklist {fast} != walk {slow}"
 
 
 def _order_pool(n: int, m: int) -> list[tuple[int, ...]]:
@@ -213,25 +223,20 @@ def _order_pool(n: int, m: int) -> list[tuple[int, ...]]:
     return [e for e in windowed_indices(n, m, 3 * n * m) if e[-1] <= 3 * n]
 
 
-def order_agreement_suite(max_n: int) -> SuiteResult:
+@_suite("order_agreement")
+def order_agreement_suite(max_n: int):
     """Merged-progression order restricted to the window is the componentwise
     order: checked on all pairs of _order_pool indices, in lexicographic
-    order."""
-    cases, failures = 0, []
-    for n in range(2, max_n + 1):
-        for m in range(1, n):
-            pool = [CompositeIndex(entries, n) for entries in _order_pool(n, m)]
-            for a in pool:
-                for b in pool:
-                    cases += 1
-                    seq = leq_sequence(a, b)
-                    comp = leq_componentwise(a.entries, b.entries)
-                    if seq != comp:
-                        failures.append(
-                            f"n={n} {a.entries} vs {b.entries}: "
-                            f"sequence={seq} componentwise={comp}"
-                        )
-    return SuiteResult("order_agreement", cases, failures)
+    order, for n <= max_n.  The pool holds entries <= 3n, whatever the
+    dimension bound of the other suites."""
+    for n, m in _spaces(max_n):
+        pool = [CompositeIndex(entries, n) for entries in _order_pool(n, m)]
+        for a, b in itertools.product(pool, repeat=2):
+            seq = leq_sequence(a, b)
+            comp = leq_componentwise(a.entries, b.entries)
+            yield None if seq == comp else (
+                f"n={n} {a.entries} vs {b.entries}: sequence={seq} componentwise={comp}"
+            )
 
 
 # The most order_agreement pairs admitted: 1,389,400 at max_n = 8, about 16 s
@@ -240,50 +245,40 @@ def order_agreement_suite(max_n: int) -> SuiteResult:
 _MAX_ORDER_PAIRS = 2 * 10**6
 
 
-def powersum_suite(max_mp: int) -> SuiteResult:
+@_suite("powersum_identity")
+def powersum_suite(max_mp: int):
     """Exact determinant identity: 1 on the full rectangle, 0 on every other
-    partition of the same weight (each such mu has mu_m < p)."""
-    cases, failures = 0, []
-    for m in range(1, max_mp + 1):
-        for p in range(1, max_mp + 1):
-            n = m + p
-            rect = (p,) * m
-            for mu in itertools.combinations_with_replacement(range(m * p, -1, -1), m):
-                if sum(mu) != m * p:
-                    continue
-                cases += 1
-                val = powersum_determinant(mu, m, n)
-                want = 1 if mu == rect else 0
-                if val != want:
-                    failures.append(f"m={m} p={p} mu={mu}: {val} != {want}")
-    return SuiteResult("powersum_identity", cases, failures)
+    partition of the same weight (each such mu has mu_m < p), for every
+    1 <= m, p <= max_mp.  run_verify passes min(max_n - 2, 3), or 1 at
+    max_n = 2."""
+    for m, p in itertools.product(range(1, max_mp + 1), repeat=2):
+        for mu in itertools.combinations_with_replacement(range(m * p, -1, -1), m):
+            if sum(mu) == m * p:
+                val = powersum_determinant(mu, m, m + p)
+                want = 1 if mu == (p,) * m else 0  # the full rectangle
+                yield None if val == want else f"m={m} p={p} mu={mu}: {val} != {want}"
 
 
-def cover_soundness_suite(max_n: int) -> SuiteResult:
-    """covers() matches the order-theoretic definition on every windowed
-    index with n <= 5 and dimension <= 6."""
-    cases, failures = 0, []
-    for n in range(2, min(max_n, 5) + 1):
-        for m in range(1, n):
-            pool = [CompositeIndex(entries, n) for entries in windowed_indices(n, m, 6)]
-            for a in pool:
-                below = [b for b in pool if b != a and leq_componentwise(b.entries, a.entries)]
-                for b in below:
-                    cases += 1
-                    strict_between = any(
-                        leq_componentwise(b.entries, c.entries)
-                        and leq_componentwise(c.entries, a.entries)
-                        for c in below
-                        if c != b
-                    )
-                    want = not strict_between
-                    got = covers(a, b)
-                    if got != want:
-                        failures.append(
-                            f"n={n} {a.entries} covers {b.entries}: "
-                            f"got {got}, order says {want}"
-                        )
-    return SuiteResult("cover_soundness", cases, failures)
+@_suite("cover_soundness")
+def cover_soundness_suite(max_n: int):
+    """covers() matches the order-theoretic definition on every pair b < a
+    of windowed indices with n <= min(max_n, 5) and dimension <= 6, whatever
+    the dimension bound of the other suites."""
+    for n, m in _spaces(min(max_n, 5)):
+        pool = [CompositeIndex(entries, n) for entries in windowed_indices(n, m, 6)]
+        for a in pool:
+            below = [b for b in pool if b != a and leq_componentwise(b.entries, a.entries)]
+            for b in below:
+                want = not any(  # no index strictly between b and a
+                    leq_componentwise(b.entries, c.entries)
+                    and leq_componentwise(c.entries, a.entries)
+                    for c in below
+                    if c != b
+                )
+                got = covers(a, b)
+                yield None if got == want else (
+                    f"n={n} {a.entries} covers {b.entries}: got {got}, order says {want}"
+                )
 
 
 def run_verify(
@@ -293,10 +288,11 @@ def run_verify(
     tolerance: float = DEFAULT_TOLERANCE,
     inject_fault: bool = False,
 ) -> VerifyReport:
-    """Run every suite up to period max_n and dimension max_dim (some suites
-    cap both lower) and return the suites' results only.
+    """Run every suite, each on the grid its docstring states from max_n and
+    max_dim, and return the suites' results only.
 
-    Raises ValueError, before any suite runs, when max_n < 2 or max_dim < 0,
+    Raises ValueError, before any suite runs, when max_n or max_dim is not
+    an integer, when max_n < 2 or max_dim < 0,
     when precision is outside vafa.check_precision's range or tolerance
     outside vafa.check_tolerance's, when order_agreement_suite would check
     more than _MAX_ORDER_PAIRS pairs (max_n >= 9), or when the symbol
@@ -304,6 +300,7 @@ def run_verify(
     With inject_fault, one chain memo entry is poisoned so a healthy
     detector must report at least one failure.
     """
+    max_n, max_dim = _integer(max_n), _integer(max_dim)
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     if max_dim < 0:
@@ -319,10 +316,7 @@ def run_verify(
                 f"{pairs} pairs for n <= {n} alone, over the limit {_MAX_ORDER_PAIRS}"
             )
     symbols = sum(
-        shifts
-        for n in range(2, max_n + 1)
-        for m in range(1, n)
-        for _, shifts in _column_sets(m, n - m, max_dim)
+        shifts for n, m in _spaces(max_n) for _, shifts in _column_sets(m, n - m, max_dim)
     )
     if symbols > _MAX_SYMBOLS:
         raise ValueError(

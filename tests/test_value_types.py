@@ -16,10 +16,16 @@ from quotdeg import (
     RecurrenceTable,
     SchubertSymbol,
     VerifyReport,
+    enumerate_chains,
     powersum_determinant,
+    quot_degree,
+    symbol_dimension,
+    validate_index,
     vi_correlator,
     vi_degree,
 )
+from quotdeg.indices import bottom_index
+from quotdeg.vafa import lg_roots, power_sum
 from quotdeg.verify import SuiteResult
 
 INDEX = CompositeIndex(entries=(1, 2), n=5)
@@ -80,6 +86,9 @@ def test_value_type_contract():
     # int coercion on construction, as before
     assert CompositeIndex(["1", 2.0], "5") == INDEX
     assert SchubertSymbol([True, 2]).columns == (1, 2)
+    q = CorrelatorSpec((8, 0), 2.0, 2).q
+    assert type(q) is int and q == 1
+    assert vi_degree((3, 4), 1, 2.0, 2).value == 8
     # equal only within a type: not to a plain tuple, not to another type
     assert INDEX != ((1, 2), 5) and not INDEX == ((1, 2), 5)
     assert ((1, 2), 5) != INDEX
@@ -99,11 +108,28 @@ def test_value_type_contract():
         (lambda: vi_correlator(CorrelatorSpec((8.9, 0), 2, 2)), ValueError, "8.9"),
         (lambda: RecurrenceTable(2, 4).degree((2.7, 3)), ValueError, "2.7"),
         (lambda: powersum_determinant((2.5, 1.5), 2, 4), ValueError, "2.5"),
+        (lambda: power_sum(5, 2, 2.5), ValueError, "2.5"),
+        (lambda: enumerate_chains(validate_index((4, 7), 4), cap=1.5), ValueError, "1.5"),
+        (lambda: CorrelatorSpec((8, 0), 2.5, 2), ValueError, "2.5"),
+        (lambda: vi_degree((3, 4), 1, 2.5, 2), ValueError, "2.5"),
+        (lambda: RecurrenceTable(2, 4.5), ValueError, "4.5"),
+        (lambda: quot_degree(2.5, 2, 1), ValueError, "2.5"),
+        (lambda: lg_roots(2, 4.5), ValueError, "4.5"),
+        (lambda: bottom_index(2.5, 4), InvalidIndexError, "2.5"),
+        (lambda: powersum_determinant((2, 2), 2, 4.5), ValueError, "4.5"),
+        (lambda: symbol_dimension(SchubertSymbol((2, 4), 1), 4.5), ValueError, "4.5"),
     ],
-    ids=["CompositeIndex", "SchubertSymbol", "CorrelatorSpec", "RecurrenceTable", "parts"],
+    ids=[
+        "CompositeIndex", "SchubertSymbol", "CorrelatorSpec", "RecurrenceTable", "parts",
+        "power_sum", "cap", "CorrelatorSpec.m", "vi_degree.m", "RecurrenceTable.n",
+        "quot_degree", "lg_roots", "bottom_index", "powersum_determinant.n", "symbol_dimension",
+    ],
 )
 def test_non_integral_input_is_refused(build, error, value):
-    # int() once truncated each of these to a wrong answer: (1, 3) mod 4, a
-    # degree of 8, a correlator of 8, a recurrence value of 1, a determinant of 0
+    # int() once truncated each of the first five to a wrong answer: (1, 3)
+    # mod 4, a degree of 8, a correlator of 8, a recurrence value of 1, a
+    # determinant of 0.  Of the others, power_sum once returned 2.5, the cap
+    # listed 2 chains and symbol_dimension returned 7.5; the rest took the
+    # value, or failed with a TypeError deep inside math.comb or range.
     with pytest.raises(error, match=f"^{value} is not an integer$"):
         build()

@@ -185,9 +185,33 @@ def test_run_verify_refuses_bad_precision_and_tolerance_up_front(monkeypatch):
         ({"precision": 53.5}, "^53.5 is not an integer$"),
         ({"tolerance": float("nan")}, r"tolerance must be finite and in \(0, 0.5\), got nan"),
         ({"tolerance": 0.5}, r"tolerance must be finite and in \(0, 0.5\), got 0.5"),
+        ({"max_dim": 14.5}, "^14.5 is not an integer$"),
+        ({"max_n": 4.5}, "^4.5 is not an integer$"),
     ):
         with pytest.raises(ValueError, match=message):
-            run_verify(max_n=3, max_dim=4, **kwargs)
+            run_verify(**{"max_n": 3, "max_dim": 4, **kwargs})
+
+
+def test_every_suite_reports_each_failing_case(monkeypatch):
+    # break what four suites check, which no other test makes fail: every
+    # case fails, the case counts stay those of a healthy run, and each
+    # suite's first message names its first case
+    import quotdeg.verify as verify
+
+    covers, leq_sequence = verify.covers, verify.leq_sequence
+    monkeypatch.setattr(verify, "dimension", lambda alpha: -1)
+    monkeypatch.setattr(verify, "covers", lambda a, b: not covers(a, b))
+    monkeypatch.setattr(verify, "leq_sequence", lambda a, b: not leq_sequence(a, b))
+    monkeypatch.setattr(verify, "powersum_determinant", lambda mu, m, n: 2)
+    suites = {s.name: s for s in run_verify(4, 8).suites}
+    for name, cases, first in (
+        ("roundtrip", 58, "n=2 (1;0): dimension -1 != 0"),
+        ("cover_soundness", 147, "n=2 (2,) covers (1,): got False, order says True"),
+        ("order_agreement", 2170, "n=2 (1,) vs (1,): sequence=False componentwise=True"),
+        ("powersum_identity", 7, "m=1 p=1 mu=(1,): 2 != 1"),
+    ):
+        assert suites[name].cases == len(suites[name].failures) == cases, name
+        assert suites[name].failures[0] == first
 
 
 def test_run_verify_base_case_honours_precision():
