@@ -3,10 +3,11 @@
 Reports default to JSON with every numeric value emitted as a string (the
 integers here outgrow doubles quickly) and a fixed key order, so identical
 invocations produce byte-identical output.  Timing and raw floating-point
-evidence only appear under --verbose.  Exit codes: 0 success, 1 usage
-error, 2 method disagreement or invariant failure, 3 dimension mismatch,
-4 numeric tolerance failure.  Each command builds its report as a JSON
-document, CSV rows and text lines; _write prints the one --format names.
+evidence only appear under --verbose: every JSON report then ends with
+elapsed_ms, and degree also times each method.  Exit codes: 0 success, 1
+usage error, 2 method disagreement or invariant failure, 3 dimension
+mismatch, 4 numeric tolerance failure.  Each command returns its exit code
+and its report, which main times and _write prints in the --format named.
 """
 
 from __future__ import annotations
@@ -72,26 +73,28 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _write(args, doc: dict, header: list[str], rows: list[list[str]], text: list[str],
-           start: float | None = None) -> None:
-    """Print one report to stdout in the format --format names; under
-    --verbose a JSON report ends with the milliseconds since `start`."""
-    if start is not None and args.verbose:
+def _write(args, doc: dict, rows: list[list[str]], text: list[str], start: float) -> None:
+    """Print the JSON document, CSV rows (header first) or text lines that
+    --format names; under --verbose the JSON ends with the milliseconds since `start`."""
+    if args.verbose:
         doc["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
     if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":
         import csv
 
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         sys.stdout.write("".join(line + "\n" for line in text))
 
 
 def _fmt_ms(seconds: float) -> str:
     return format(seconds * 1000.0, ".3f")
+
+
+def _evidence(result) -> dict:
+    """The unrounded sum and its error bounds, reported under --verbose."""
+    return {"raw": str(result.raw), "residual": repr(result.residual), "imag": repr(result.imag)}
 
 
 def _alpha_symbol(alpha) -> SchubertSymbol:
@@ -139,7 +142,7 @@ def _degree_request(args):
     return m, p, n, symbol, alpha, q_echo
 
 
-def cmd_degree(args) -> int:
+def cmd_degree(args) -> tuple[int, tuple | None]:
     m, p, n, symbol, alpha, q_echo = _degree_request(args)
 
     wanted = ["chain", "recurrence", "vi"] if args.method == "all" else [args.method]
@@ -153,24 +156,19 @@ def cmd_degree(args) -> int:
             elif name == "recurrence":
                 value = RecurrenceTable(m, n).degree(alpha.entries)
             else:
-                result = vi_degree(
-                    symbol.columns, symbol.offset, m, p,
-                    precision=args.precision, tolerance=args.tolerance,
-                )
+                result = vi_degree(symbol.columns, symbol.offset, m, p,
+                                   precision=args.precision, tolerance=args.tolerance)
                 value = result.value
                 if args.verbose:
-                    entry["raw"] = str(result.raw)
-                    entry["residual"] = repr(result.residual)
-                    entry["imag"] = repr(result.imag)
+                    entry.update(_evidence(result))
             entry["degree"] = str(value)
         except ToleranceError as exc:
             entry["status"] = f"tolerance failure: {exc}"
         if args.verbose:
             entry["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
 
-    produced = [entry["degree"] for entry in methods.values()]
-    tolerance_failed = None in produced
-    agreement = not tolerance_failed and len(set(produced)) == 1
+    produced = {entry["degree"] for entry in methods.values()}
+    agreement = len(produced) == 1 and None not in produced
     request = {
         "m": str(m), "p": str(p), "q": q_echo, "n": str(n),
         "i": ",".join(str(c) for c in symbol.columns), "d": str(symbol.offset),
@@ -184,21 +182,19 @@ def cmd_degree(args) -> int:
         "methods": methods,
         "agreement": agreement,
     }
-    rows = [[k, v["degree"] or "", v["status"]] for k, v in methods.items()]
+    rows = [["method", "degree", "status"]]
+    rows += [[k, v["degree"] or "", v["status"]] for k, v in methods.items()]
     text = [
         "request: " + " ".join(f"{k}={v}" for k, v in request.items() if v is not None),
         *(f"{k}: {v['degree'] or v['status']}" for k, v in methods.items()),
         f"agreement: {str(agreement).lower()}",
     ]
-    _write(args, doc, ["method", "degree", "status"], rows, text)
-    if tolerance_failed:
-        return EXIT_TOLERANCE
-    return EXIT_OK if agreement else EXIT_DISAGREEMENT
+    code = EXIT_TOLERANCE if None in produced else EXIT_OK if agreement else EXIT_DISAGREEMENT
+    return code, (doc, rows, text)
 
 
-def cmd_correlator(args) -> int:
+def cmd_correlator(args) -> tuple[int, tuple | None]:
     spec = CorrelatorSpec.from_powers(args.powers, args.m, args.p)
-    start = time.perf_counter()
     result = vi_correlator(spec, precision=args.precision, tolerance=args.tolerance)
     m, p = str(spec.m), str(spec.p)
     powers = ",".join(str(a) for a in spec.powers)
@@ -211,21 +207,17 @@ def cmd_correlator(args) -> int:
         "tolerance": str(args.tolerance),
     }
     if args.verbose:
-        doc["raw"] = str(result.raw)
-        doc["residual"] = repr(result.residual)
-        doc["imag"] = repr(result.imag)
-    header = ["m", "p", "powers", "q", "n", "value"]
+        doc.update(_evidence(result))
+    rows = [["m", "p", "powers", "q", "n", "value"], [m, p, powers, q, n, value]]
     text = [f"request: m={m} p={p} powers={powers}", f"q: {q}", f"value: {value}"]
-    _write(args, doc, header, [[m, p, powers, q, n, value]], text, start)
-    return EXIT_OK
+    return EXIT_OK, (doc, rows, text)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, tuple | None]:
     if args.m < 1 or args.p < 1:
         raise InvalidIndexError(f"m and p must be positive, got m={args.m} p={args.p}")
     if args.max_q < 0:
         raise InvalidIndexError(f"--max-q must be nonnegative, got {args.max_q}")
-    start = time.perf_counter()
     m, p = args.m, args.p
     n = m + p
     top = tuple(range(p + 1, n + 1))
@@ -237,35 +229,29 @@ def cmd_table(args) -> int:
     for q in range(args.max_q, -1, -1):
         alpha = schubert_to_composite(SchubertSymbol(top, q), n)
         degrees[q] = degree_chain(alpha, memo), table.degree(alpha.entries)
-    header = ["m", "p", "q", "n", "dim", "degree"]
-    rows = []
+    rows = [["m", "p", "q", "n", "dim", "degree"]]
     for q in range(args.max_q + 1):
         ch, rec = degrees[q]
         if ch != rec:
             sys.stderr.write(f"quotdeg: methods disagree at q={q}: chain={ch} recurrence={rec}\n")
-            return EXIT_DISAGREEMENT
+            return EXIT_DISAGREEMENT, None
         rows.append([str(m), str(p), str(q), str(n), str(m * p + n * q), str(ch)])
     doc = {
         "command": "table",
         "request": {"m": str(m), "p": str(p), "max_q": str(args.max_q)},
         "methods": ["chain", "recurrence"],
-        "rows": [dict(zip(header, row)) for row in rows],
+        "rows": [dict(zip(rows[0], row)) for row in rows[1:]],
     }
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    text = [
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in [header, *rows]
-    ]
-    _write(args, doc, header, rows, text, start)
-    return EXIT_OK
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    text = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
+    return EXIT_OK, (doc, rows, text)
 
 
-def cmd_chains(args) -> int:
+def cmd_chains(args) -> tuple[int, tuple | None]:
     alpha = validate_index(args.alpha, args.n)
     if args.cap < 1:
         raise InvalidIndexError(f"--cap must be positive, got {args.cap}")
     _alpha_symbol(alpha)
-    start = time.perf_counter()
     enum = enumerate_chains(alpha, cap=args.cap)
     # chains share their steps, so each distinct step is rendered once
     names: dict = {}
@@ -281,18 +267,16 @@ def cmd_chains(args) -> int:
         "capped": enum.capped,
         "chains": chain_strings,
     }
-    rows = [[str(idx), chain] for idx, chain in enumerate(joined, start=1)]
+    rows = [["chain", "steps"], *([str(idx), chain] for idx, chain in enumerate(joined, start=1))]
     rows.append(["count", str(enum.total)])
-    _write(args, doc, ["chain", "steps"], rows, [*joined, f"count={enum.total}"], start)
-    return EXIT_OK
+    return EXIT_OK, (doc, rows, [*joined, f"count={enum.total}"])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, tuple | None]:
     if args.max_n < 2:
         raise InvalidIndexError(f"--max-n must be at least 2, got {args.max_n}")
     if args.max_dim < 0:
         raise InvalidIndexError(f"--max-dim must be nonnegative, got {args.max_dim}")
-    start = time.perf_counter()
     report = run_verify(
         max_n=args.max_n, max_dim=args.max_dim, precision=args.precision,
         tolerance=args.tolerance, inject_fault=args.inject_fault,
@@ -313,16 +297,15 @@ def cmd_verify(args) -> int:
         "total_failures": str(report.total_failures),
         "status": status,
     }
-    rows = [[s.name, str(s.cases), str(len(s.failures))] for s in report.suites]
     width = max(len(s.name) for s in report.suites)
-    text = []
+    rows, text = [["suite", "cases", "failures"]], []
     for s in report.suites:
+        rows.append([s.name, str(s.cases), str(len(s.failures))])
         text.append(f"{s.name.ljust(width)}  cases={s.cases}  failures={len(s.failures)}")
         text.extend(f"  {f}" for f in s.failures)
     text.append(f"total: cases={report.total_cases} failures={report.total_failures}")
     text.append(f"status: {status}")
-    _write(args, doc, ["suite", "cases", "failures"], rows, text, start)
-    return EXIT_OK if report.ok else EXIT_DISAGREEMENT
+    return (EXIT_OK if report.ok else EXIT_DISAGREEMENT), (doc, rows, text)
 
 
 def _add_common(parser, numeric: bool) -> None:
@@ -413,6 +396,7 @@ def main(argv=None) -> int:
         # argparse exits 0 after help and 2 on a usage error; this
         # interface reserves 2 for disagreements
         return EXIT_USAGE if exc.code else EXIT_OK
+    start = time.perf_counter()
     # CPython refuses int <-> str conversions past 4,300 digits; lifting the
     # limit only once parsing is done prints every answer and keeps the
     # guard on the integers given as arguments
@@ -420,7 +404,10 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        if report is not None:
+            _write(args, *report, start)
+        return code
     except DimensionMismatchError as exc:
         sys.stderr.write(f"quotdeg: dimension mismatch: {exc}\n")
         return EXIT_DIMENSION

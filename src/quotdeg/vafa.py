@@ -290,9 +290,14 @@ def check_tolerance(tolerance: float) -> float:
 
     Rounding is certified by comparing against the tolerance, so NaN (which
     compares false) or infinity would certify anything, and a value of 0.5
-    or more no longer pins one integer.
+    or more no longer pins one integer.  A value that does not compare with
+    numbers, such as the string "0.1" or None, is refused the same way.
     """
-    if not 0 < tolerance < 0.5:
+    try:
+        usable = 0 < tolerance < 0.5
+    except TypeError:
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}") from None
+    if not usable:
         raise ValueError(f"tolerance must be finite and in (0, 0.5), got {tolerance}")
     return tolerance
 

@@ -102,9 +102,8 @@ def _column_sets(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...]
 
 def valid_symbols(m: int, p: int, max_dim: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All (columns, d) naming a subvariety with dimension <= max_dim."""
-    for cols, shifts in _column_sets(m, p, max_dim):
-        for d in range(shifts):
-            yield cols, d
+    column_sets = _column_sets(_integer(m), _integer(p), _integer(max_dim))
+    return ((cols, d) for cols, shifts in column_sets for d in range(shifts))
 
 
 # The most symbols admitted, summed over every (m, n) with n <= max_n: the
@@ -120,6 +119,7 @@ _MAX_SYMBOLS = 2000
 def windowed_indices(n: int, m: int, max_dim: int) -> list[tuple[int, ...]]:
     """All windowed index tuples of length m mod n with dimension <= max_dim,
     in lexicographic order, read off the symbol sweep of valid_symbols."""
+    n = _integer(n)
     return sorted(
         schubert_to_composite(SchubertSymbol(cols, d), n).entries
         for cols, d in valid_symbols(m, n - m, max_dim)
@@ -239,9 +239,9 @@ def order_agreement_suite(max_n: int):
             )
 
 
-# The most order_agreement pairs admitted: 1,389,400 at max_n = 8, about 16 s
-# on a 2-vCPU VM (Python 3.11).  The count grows about 5x per period, to
-# 6,482,698 at max_n = 9.
+# The most order_agreement pairs admitted: 1,389,400 at max_n = 8, where the
+# suite took 13.0-14.4 s in process on a 2-vCPU Xeon VM (Python 3.11).  The
+# count grows about 5x per period, to 6,482,698 at max_n = 9.
 _MAX_ORDER_PAIRS = 2 * 10**6
 
 

@@ -54,6 +54,31 @@ def top_degree(m: int, p: int, q: int) -> int:
     return int(value)
 
 
+def symbol_degree(columns: tuple[int, ...], d: int, n: int) -> int:
+    """Degree of the subvariety (columns; d) of period n, from the closed form
+
+        (-1)^((m-1)d) * sum over k_1 + ... + k_m = d, k_i >= 0, of
+        E! * det[perm(a_i, b_j)] / prod_i a_i!,
+
+    with a_i = n - i + n k_i, b_j = n - c_j and E = sum_j (c_j - j) + n d
+    the dimension.  Row i of Aitken's determinant det[1/(a_i - b_j)!], which
+    counts skew tableaux, is scaled by a_i! (perm(a, b) = 0 for a < b), so
+    each term is an integer and its division is exact."""
+    m = len(columns)
+    dim = sum(c - j for j, c in enumerate(columns, start=1)) + n * d
+    b = [n - c for c in columns]
+    total = 0
+    for bars in itertools.combinations(range(d + m - 1), m - 1):
+        edges = (-1, *bars, d + m - 1)
+        shares = [hi - lo - 1 for lo, hi in zip(edges, edges[1:])]
+        a = [n - i + n * k for i, k in enumerate(shares, start=1)]
+        det = leibniz_det([[math.perm(ai, bj) for bj in b] for ai in a])
+        term, rem = divmod(math.factorial(dim) * det, math.prod(map(math.factorial, a)))
+        assert rem == 0
+        total += term
+    return (-1) ** ((m - 1) * d) * total
+
+
 def merged_prefix(entries: tuple[int, ...], n: int, count: int) -> list[int]:
     """First `count` values of the merged progressions {a + k*n : k >= 0},
     by sorting `count` terms of every progression."""

@@ -432,6 +432,31 @@ def test_verbose_adds_only_elapsed_ms(capsys, argv):
     assert doc == json.loads(plain)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "--m", "2", "--p", "2", "--q", "1"),
+        ("correlator", "--m", "2", "--p", "2", "--powers", "8,0"),
+    ],
+    ids=["degree", "correlator"],
+)
+def test_verbose_json_ends_with_elapsed_ms(capsys, argv):
+    # besides the whole command's time, only the fixed-point evidence and
+    # degree's per-method times are added
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--verbose")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc)[-1] == "elapsed_ms"
+    assert float(doc.pop("elapsed_ms")) >= 0
+    evidence = ("raw", "residual", "imag", "elapsed_ms")
+    for entry in [doc, *doc.get("methods", {}).values()]:
+        for key in evidence:
+            entry.pop(key, None)
+    assert doc == json.loads(plain)
+
+
 def test_precision_environment_variable_is_ignored(capsys, monkeypatch):
     # precision comes from --precision alone; an integer-only request runs no
     # fixed-point sum and must not read any precision setting

@@ -30,6 +30,7 @@ from quotdeg.vafa import (
     _elementary_errors,
     _root_errors,
     _rotation_orbits,
+    check_tolerance,
     lg_roots,
     power_sum,
     powersum_determinant,
@@ -416,6 +417,24 @@ def test_vi_sums_reject_unusable_tolerance(tolerance):
         vi_degree((4, 5, 6), 4, 3, 3, precision=31, tolerance=tolerance)
     with pytest.raises(ValueError, match="tolerance"):
         vi_correlator(CorrelatorSpec.from_powers((8, 0), 2, 2), tolerance=tolerance)
+
+
+def test_vi_sums_refuse_non_numeric_tolerance_up_front(monkeypatch):
+    import quotdeg.vafa as vafa
+
+    # a comparison with a str or None once escaped as a TypeError; every
+    # number still passes as given
+    for usable in (0.1, Fraction(1, 10)):
+        assert check_tolerance(usable) is usable
+    monkeypatch.setattr(vafa, "_zeta_table", lambda *args: pytest.fail("a table was built"))
+    for tolerance, shown in (("0.1", "'0.1'"), (None, "None")):
+        for request in (
+            lambda: check_tolerance(tolerance),
+            lambda: vi_degree((3, 4), 1, 2, 2, tolerance=tolerance),
+            lambda: vi_correlator(CorrelatorSpec.from_powers((8, 0), 2, 2), tolerance=tolerance),
+        ):
+            with pytest.raises(ValueError, match=f"^tolerance must be a real number, got {shown}$"):
+                request()
 
 
 def test_vi_degree_refuses_last_place_noise():

@@ -26,7 +26,7 @@ from quotdeg import (
 )
 from quotdeg.indices import bottom_index
 from quotdeg.vafa import lg_roots, power_sum
-from quotdeg.verify import SuiteResult
+from quotdeg.verify import SuiteResult, valid_symbols, windowed_indices
 
 INDEX = CompositeIndex(entries=(1, 2), n=5)
 
@@ -118,11 +118,15 @@ def test_value_type_contract():
         (lambda: bottom_index(2.5, 4), InvalidIndexError, "2.5"),
         (lambda: powersum_determinant((2, 2), 2, 4.5), ValueError, "4.5"),
         (lambda: symbol_dimension(SchubertSymbol((2, 4), 1), 4.5), ValueError, "4.5"),
+        (lambda: valid_symbols(2, 2, 7.5), ValueError, "7.5"),
+        (lambda: windowed_indices(4, 2, 3.5), ValueError, "3.5"),
+        (lambda: windowed_indices(4.5, 2, 3), ValueError, "4.5"),
     ],
     ids=[
         "CompositeIndex", "SchubertSymbol", "CorrelatorSpec", "RecurrenceTable", "parts",
         "power_sum", "cap", "CorrelatorSpec.m", "vi_degree.m", "RecurrenceTable.n",
         "quot_degree", "lg_roots", "bottom_index", "powersum_determinant.n", "symbol_dimension",
+        "valid_symbols", "windowed_indices", "windowed_indices.n",
     ],
 )
 def test_non_integral_input_is_refused(build, error, value):
@@ -131,5 +135,6 @@ def test_non_integral_input_is_refused(build, error, value):
     # determinant of 0.  Of the others, power_sum once returned 2.5, the cap
     # listed 2 chains and symbol_dimension returned 7.5; the rest took the
     # value, or failed with a TypeError deep inside math.comb or range.
+    # valid_symbols refuses when called, not when first iterated.
     with pytest.raises(error, match=f"^{value} is not an integer$"):
         build()
