@@ -25,9 +25,11 @@ takes one term per rotation orbit, the orbit's least member, times the
 orbit's size: 26 terms for the 252 subsets at m = p = 5.  A term is the
 Vandermonde product Delta of the subset's root differences (squared for
 a correlator) times a summand: the degree's determinant and power of the
-root sum, or the correlator's elementary symmetric functions.  One shell,
-_fixed_point, checks the tolerance, refuses a sum whose work (known from
-m and n before any root is computed) exceeds a fixed limit, and rounds.
+root sum, or the correlator's elementary symmetric functions.  Each sum
+reads top to bottom: _checked_roots checks the precision and the
+tolerance, refuses a sum whose work (known from m and n before any root is
+computed) exceeds a fixed limit and returns the roots; the sum is taken
+over them, and _finalize rounds it.
 
 The rounding bound follows each term's own error.  A term is a product
 of powers of computed factors (root differences, the determinant, the root
@@ -502,11 +504,11 @@ _MAX_WORK = 2 * 10**6
 _ENTRY_WEIGHT = 64
 
 
-def _fixed_point(subset_sum, m: int, n: int, weight: int, precision: int, tolerance: float):
-    """Check the precision, the tolerance and the work, then round
-    subset_sum(lg_roots(m, n, precision)).  The work, ceil(C(n, m) / n)
-    orbits times `weight` per term plus 2n table entries times
-    _ENTRY_WEIGHT, is known before any root is computed."""
+def _checked_roots(m: int, n: int, weight: int, precision: int, tolerance: float) -> LGRootSystem:
+    """Check the precision, the tolerance and the work, then return
+    lg_roots(m, n, precision).  The work, ceil(C(n, m) / n) orbits times
+    `weight` per term plus 2n table entries times _ENTRY_WEIGHT, is known
+    before any root is computed."""
     precision = check_precision(precision)
     check_tolerance(tolerance)
     orbits = -(-math.comb(n, m) // n)
@@ -517,8 +519,7 @@ def _fixed_point(subset_sum, m: int, n: int, weight: int, precision: int, tolera
             f"({orbits} rotation orbits times {weight} per term) and {table} for the root "
             f"table ({2 * n} entries times {_ENTRY_WEIGHT}) exceed the limit {_MAX_WORK}"
         )
-    total, bound = subset_sum(lg_roots(m, n, precision))
-    return _finalize(total, bound, m, n, precision, tolerance)
+    return lg_roots(m, n, precision)
 
 
 def _degree_sum(lams, exponent: int, sys: LGRootSystem):
@@ -576,10 +577,8 @@ def vi_degree(
         raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
     exponent = symbol_dimension(symbol, n)
     lams = [n + 1 - c for c in symbol.columns]
-    return _fixed_point(
-        lambda sys: _degree_sum(lams, exponent, sys),  # _det takes 2^m m products
-        m, n, 2**m * m, precision, tolerance,
-    )
+    sys = _checked_roots(m, n, 2**m * m, precision, tolerance)  # _det takes 2^m m products
+    return _finalize(*_degree_sum(lams, exponent, sys), m, n, sys.precision, tolerance)
 
 
 class CorrelatorSpec(_OwnTypeEquality, namedtuple("CorrelatorSpec", "powers m p q")):
@@ -683,7 +682,6 @@ def vi_correlator(
     Each critical subset contributes the class values times the inverse
     Hessian (prod q) Delta^2 / n^m; the global sign is (-1)^(m(m-1)/2).
     """
-    return _fixed_point(
-        lambda sys: _correlator_sum(spec, sys),  # e_0..e_m, Delta and their bounds
-        spec.m, spec.m + spec.p, 8 * spec.m**2, precision, tolerance,
-    )
+    m, n = spec.m, spec.m + spec.p
+    sys = _checked_roots(m, n, 8 * m**2, precision, tolerance)  # e_0..e_m, Delta and their bounds
+    return _finalize(*_correlator_sum(spec, sys), m, n, sys.precision, tolerance)

@@ -217,6 +217,11 @@ def test_enumerate_chains_cap():
     assert enum.capped
 
 
+def test_enumerate_chains_refuses_a_non_positive_cap():
+    with pytest.raises(ValueError, match="cap must be positive, got 0"):
+        enumerate_chains(validate_index((3, 4), 4), cap=0)
+
+
 def test_enumerate_chains_bottom():
     enum = enumerate_chains(bottom_index(2, 4))
     assert enum.total == 1

@@ -179,6 +179,26 @@ def test_argparse_error_exits_one_with_usage(capsys):
     assert "quotdeg degree: error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("degree", "--n", "4", "--alpha", "3,x"),
+         "quotdeg degree: error: argument --alpha: expected comma-separated integers, got '3,x'"),
+        (("degree", "--m", "2", "--p", "2", "--q", "1", "--precision", "abc"),
+         "quotdeg degree: error: argument --precision: invalid int value: 'abc'"),
+        (("table", "--m", "2", "--p", "2", "--max-q", "-1"),
+         "quotdeg: error: --max-q must be nonnegative, got -1"),
+        (("verify", "--max-dim", "-1"),
+         "quotdeg: error: --max-dim must be nonnegative, got -1"),
+    ],
+    ids=["alpha", "precision", "table.max_q", "verify.max_dim"],
+)
+def test_refusal_ends_with_its_error_line(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == line
+
+
 def test_low_precision_is_refused_before_any_method_runs(capsys, monkeypatch):
     import quotdeg.cli as cli
 

@@ -1,13 +1,17 @@
-"""The chain count and the recurrence against the closed form of
-oracles.symbol_degree, which reads each degree off Aitken's determinant and
-knows nothing of either method."""
+"""The chain count, the recurrence and the fixed-point sum against the
+closed form of oracles.symbol_degree, which reads each degree off Aitken's
+determinant and knows nothing of any of the three methods."""
 
+import itertools
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotdeg.chain_degree import degree_chain
 from quotdeg.indices import SchubertSymbol, schubert_to_composite
 from quotdeg.recurrence_degree import RecurrenceTable
+from quotdeg.vafa import ToleranceError, vi_degree
 
 from oracles import symbol_degree, top_degree
 
@@ -43,3 +47,31 @@ def test_closed_form_values():
             top = tuple(range(p + 1, m + p + 1))
             for q in range(6):
                 assert symbol_degree(top, q, m + p) == top_degree(m, p, q)
+
+
+def test_fixed_point_sum_certifies_the_closed_form_or_refuses():
+    # every symbol with n <= 8, m <= 4 and dimension <= 24, at three
+    # precisions: the sum may refuse, but never rounds to another integer
+    certified = refused = 0
+    for n in range(2, 9):
+        for m in range(1, min(4, n - 1) + 1):
+            for columns in itertools.combinations(range(1, n + 1), m):
+                base = sum(c - j for j, c in enumerate(columns, start=1))
+                for d in range((24 - base) // n + 1):
+                    want = symbol_degree(columns, d, n)
+                    for bits in (24, 53, 64):
+                        try:
+                            got = vi_degree(columns, d, m, n - m, precision=bits).value
+                        except ToleranceError:
+                            refused += 1
+                            continue
+                        assert got == want, (columns, d, n, bits)
+                        certified += 1
+    assert certified + refused == 3 * 1273
+    assert certified > refused > 0
+
+
+def test_fixed_point_sum_refuses_at_53_bits_and_certifies_at_64():
+    with pytest.raises(ToleranceError, match="noise bound 1.33e-6 exceeds the tolerance"):
+        vi_degree((1, 3, 5, 7), 2, 4, 4, precision=53)
+    assert vi_degree((1, 3, 5, 7), 2, 4, 4, precision=64).value == 77922304

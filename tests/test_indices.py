@@ -99,6 +99,21 @@ def test_schubert_to_composite(cols, d, n, expected):
     assert schubert_to_composite(SchubertSymbol(cols, d), n).entries == expected
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ((), "column set needs at least one entry"),
+        ((0, 2), "columns must be positive"),
+        ((-1,), "columns must be positive"),
+        ((3, 2), "columns must strictly increase"),
+        ((2, 2), "columns must strictly increase"),
+    ],
+)
+def test_schubert_symbol_rejects_malformed_columns(columns, message):
+    with pytest.raises(InvalidIndexError, match=message):
+        SchubertSymbol(columns, 0)
+
+
 def test_schubert_to_composite_rejects_oversized_columns():
     with pytest.raises(InvalidIndexError):
         schubert_to_composite(SchubertSymbol((3, 5), 0), 4)
@@ -160,6 +175,12 @@ def test_leq_sequence_example():
 def test_leq_sequence_rejects_mixed_periods():
     with pytest.raises(InvalidIndexError):
         leq_sequence(validate_index((1, 2), 4), validate_index((1, 2), 5))
+
+
+@pytest.mark.parametrize("compare", [leq_sequence, covers])
+def test_orders_reject_mixed_lengths(compare):
+    with pytest.raises(InvalidIndexError, match="cannot compare indices of lengths 1 and 2"):
+        compare(validate_index((3,), 4), validate_index((3, 4), 4))
 
 
 @settings(max_examples=150)

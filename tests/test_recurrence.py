@@ -52,6 +52,15 @@ def test_degree_is_nonnegative_everywhere():
             assert table.degree((a, b)) >= 0
 
 
+@pytest.mark.parametrize(
+    "m, n, message",
+    [(0, 4, "m must be positive, got 0"), (1, 1, "period must be at least 2, got 1")],
+)
+def test_table_rejects_empty_or_degenerate_space(m, n, message):
+    with pytest.raises(ValueError, match=message):
+        RecurrenceTable(m, n)
+
+
 def test_table_rejects_wrong_length():
     table = RecurrenceTable(2, 4)
     with pytest.raises(ValueError):
@@ -117,6 +126,18 @@ def test_subvariety_degree_values(columns, d, m, p, q, expected):
 )
 def test_quot_degree_values(m, p, q, expected):
     assert quot_degree(m, p, q) == expected
+
+
+@pytest.mark.parametrize(
+    "m, p, q, message",
+    [
+        (0, 2, 1, "m and p must be positive, got m=0 p=2"),
+        (2, 2, -1, "q must be nonnegative, got -1"),
+    ],
+)
+def test_quot_degree_rejects_bad_space_or_order(m, p, q, message):
+    with pytest.raises(ValueError, match=message):
+        quot_degree(m, p, q)
 
 
 def test_quot_degree_matches_tableau_count_at_shift_zero():

@@ -156,6 +156,8 @@ def test_partition_normalization_rejects_bad_shapes():
         powersum_determinant((1, 2), 2, 4)  # parts must weakly decrease
     with pytest.raises(ValueError):
         powersum_determinant((2, 1, 1), 2, 4)  # more nonzero parts than m
+    with pytest.raises(ValueError, match=r"parts must be nonnegative: \(1, -1\)"):
+        powersum_determinant((1, -1), 2, 4)
     assert powersum_determinant((2, 2, 0), 2, 4) == 1  # trailing zeros are fine
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from quotdeg.indices import dimension, validate_index
+from quotdeg.indices import SchubertSymbol, dimension, validate_index
 from quotdeg.verify import (
     _MAX_ORDER_PAIRS,
     _MAX_SYMBOLS,
@@ -222,3 +222,26 @@ def test_run_verify_base_case_honours_precision():
     assert all("vi failed" in f for f in suites["base_case"].failures)
     assert len(suites["cross_method"].failures) == suites["cross_method"].cases
     assert not report.ok
+
+
+def test_base_case_and_roundtrip_report_each_failing_case(monkeypatch):
+    # a chain count of 0 and a conversion that gains a period shift are the
+    # two faults these suites alone name: every case fails, and the first
+    # message names the first case with all three degrees or all three forms
+    import quotdeg.verify as verify
+
+    to_symbol = verify.composite_to_schubert
+
+    def shifted(alpha):
+        s = to_symbol(alpha)
+        return SchubertSymbol(s.columns, s.offset + 1)
+
+    monkeypatch.setattr(verify, "degree_chain", lambda alpha, *args, **kwargs: 0)
+    monkeypatch.setattr(verify, "composite_to_schubert", shifted)
+    suites = {s.name: s for s in run_verify(4, 8).suites}
+    for name, cases, first in (
+        ("base_case", 9, "m=1 p=1 bottom degrees chain=0 recurrence=1 vi=1"),
+        ("roundtrip", 58, "n=2 (1;0) -> 1 -> (1;1)"),
+    ):
+        assert suites[name].cases == len(suites[name].failures) == cases, name
+        assert suites[name].failures[0] == first
