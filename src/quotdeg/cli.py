@@ -5,16 +5,19 @@ integers here outgrow doubles quickly) and a fixed key order, so identical
 invocations produce byte-identical output.  Timing and raw floating-point
 evidence only appear under --verbose: every JSON report then ends with
 elapsed_ms, and degree also times each method.  Exit codes: 0 success, 1
-usage error, 2 method disagreement or invariant failure, 3 dimension
-mismatch, 4 numeric tolerance failure.  Each command returns its exit code
-and its report, which main times and _write prints in the --format named.
+usage error or a report that cannot be written, 2 method disagreement or
+invariant failure, 3 dimension mismatch, 4 numeric tolerance failure.
+Each command returns its exit code and its report, which main times and
+_write prints in the --format named.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
+import os
 import sys
 import time
 
@@ -75,17 +78,22 @@ def _tolerance(text: str) -> float:
 
 def _write(args, doc: dict, rows: list[list[str]], text: list[str], start: float) -> None:
     """Print the JSON document, CSV rows (header first) or text lines that
-    --format names; under --verbose the JSON ends with the milliseconds since `start`."""
+    --format names; under --verbose the JSON ends with the milliseconds since `start`.
+    Raises OSError when stdout is closed or the write or its flush fails."""
     if args.verbose:
         doc["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
+    out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, "stdout is closed")
     if args.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":
         import csv
 
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        csv.writer(out, lineterminator="\n").writerows(rows)
     else:
-        sys.stdout.write("".join(line + "\n" for line in text))
+        out.write("".join(line + "\n" for line in text))
+    out.flush()
 
 
 def _fmt_ms(seconds: float) -> str:
@@ -405,9 +413,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code, report = args.func(args)
-        if report is not None:
-            _write(args, *report, start)
-        return code
     except DimensionMismatchError as exc:
         sys.stderr.write(f"quotdeg: dimension mismatch: {exc}\n")
         return EXIT_DIMENSION
@@ -420,6 +425,13 @@ def main(argv=None) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    if report is not None:
+        try:
+            _write(args, *report, start)
+        except OSError as exc:
+            sys.stderr.write(f"quotdeg: error: cannot write output: {exc}\n")
+            return EXIT_USAGE
+    return code
 
 
 def run() -> None:
@@ -428,11 +440,19 @@ def run() -> None:
     Everything alive once main() returns lives until the process ends, so
     gc.freeze() moves it out of reach of the collections that interpreter
     shutdown would run over it.  Unlike os._exit, sys.exit still runs
-    atexit handlers, flushes stdio (a failed flush still exits nonzero)
-    and tears the modules down.  Library callers and tests use main().
+    atexit handlers, flushes stdio and tears the modules down.  A report
+    that main() could not write may still sit in stdout's buffer, where
+    the exit flush would fail on it again; stdout is then pointed at the
+    null device, as the "Note on SIGPIPE" in Python's signal docs does.
+    Library callers and tests use main().
     """
     code = main()
     gc.freeze()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

@@ -240,8 +240,9 @@ def order_agreement_suite(max_n: int):
 
 
 # The most order_agreement pairs admitted: 1,389,400 at max_n = 8, where the
-# suite took 3.9-5.1 s in process on a 2-vCPU Xeon VM (Python 3.11).  The
-# count grows about 5x per period, to 6,482,698 at max_n = 9.
+# suite took 2.3-3.2 s (median 2.6 s over 12 fresh processes) in process on
+# a 2-vCPU Xeon VM (Python 3.11).  The count grows about 5x per period, to
+# 6,482,698 at max_n = 9.
 _MAX_ORDER_PAIRS = 2 * 10**6
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -655,6 +656,52 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["methods"]["chain"]["degree"] == "2"
+
+
+def _run_to_stdout(stdout, *argv, **kwargs):
+    """Run `python -m quotdeg argv` with the given stdout and block-buffered
+    stdio, the default outside a terminal, so any report the exit flush
+    retries would show on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "quotdeg", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, **kwargs,
+    )
+
+
+def _assert_unwritable(proc, reason):
+    assert proc.returncode == 1
+    assert proc.stderr == f"quotdeg: error: cannot write output: {reason}\n"
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_closed_pipe_ends_in_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_to_stdout(write_end, "chains", "--n", "6", "--alpha", "5,9,10", "--cap", "1000")
+    finally:
+        os.close(write_end)
+    _assert_unwritable(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_full_device_ends_in_one_error_line(fmt):
+    with open("/dev/full", "w") as full:
+        proc = _run_to_stdout(
+            full, "degree", "--m", "2", "--p", "2", "--q", "1", "--method", "chain", "--format", fmt
+        )
+    _assert_unwritable(proc, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 1 before it starts")
+def test_closed_stdout_ends_in_one_error_line():
+    proc = _run_to_stdout(
+        None, "degree", "--m", "2", "--p", "2", "--q", "1", "--method", "chain",
+        preexec_fn=lambda: os.close(1),
+    )
+    _assert_unwritable(proc, "[Errno 9] stdout is closed")
 
 
 FLOAT_STACK_PROBE = """

@@ -161,8 +161,28 @@ def test_dimension_decomposes_as_symbol_dimension():
 def test_leq_componentwise():
     assert leq_componentwise((1, 3), (2, 3))
     assert not leq_componentwise((2, 3), (1, 4))
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match=r"^cannot compare tuples of lengths 2 and 3$"):
         leq_componentwise((1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "make", [list, iter, lambda t: (x for x in t), lambda t: range(t[0], t[-1] + 1)],
+    ids=["list", "iterator", "generator", "range"],
+)
+def test_leq_componentwise_takes_any_iterable(make):
+    # the range maker only builds runs of consecutive entries
+    pairs = [((1, 2), (2, 3)), ((2, 3), (1, 2)), ((2, 3, 4), (2, 3, 4)), ((4,), (3,))]
+    for i, j in pairs:
+        assert leq_componentwise(make(i), make(j)) == leq_componentwise(i, j)
+    with pytest.raises(InvalidIndexError, match=r"^cannot compare tuples of lengths 2 and 3$"):
+        leq_componentwise(make((1, 2)), make((1, 2, 3)))
+
+
+def test_leq_componentwise_compares_floats():
+    # int.__le__ would refuse 1.5 and answer NotImplemented, a true value, for 2 <= 1.5
+    assert leq_componentwise((1.5, 2.0), (1.5, 2.5))
+    assert not leq_componentwise((1, 2.5), (1, 2))
+    assert not leq_componentwise((1, 2), (1, 1.5))
 
 
 def test_leq_sequence_example():
@@ -203,7 +223,7 @@ def test_leq_sequence_prefix_is_stable(a, b):
 @settings(max_examples=200)
 @given(wide_indices(), st.integers(0, 40))
 def test_merged_prefix_matches_sorting_every_progression(a, count):
-    assert _merged_prefix(a.entries, a.n, count) == merged_prefix(a.entries, a.n, count)
+    assert _merged_prefix(a.entries, a.n, count) == tuple(merged_prefix(a.entries, a.n, count))
 
 
 @settings(max_examples=100)
