@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import io
 import json
 import os
 import sys
@@ -79,21 +80,35 @@ def _tolerance(text: str) -> float:
 def _write(args, doc: dict, rows: list[list[str]], text: list[str], start: float) -> None:
     """Print the JSON document, CSV rows (header first) or text lines that
     --format names; under --verbose the JSON ends with the milliseconds since `start`.
-    Raises OSError when stdout is closed or the write or its flush fails."""
+    Raises OSError when stdout is closed or takes less than the whole report."""
     if args.verbose:
         doc["elapsed_ms"] = _fmt_ms(time.perf_counter() - start)
     out = sys.stdout
     if out is None:
         raise OSError(errno.EBADF, "stdout is closed")
     if args.format == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
+        report = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
         import csv
 
-        csv.writer(out, lineterminator="\n").writerows(rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        report = buf.getvalue()
     else:
-        out.write("".join(line + "\n" for line in text))
-    out.flush()
+        report = "".join(line + "\n" for line in text)
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(report)
+        out.flush()
+        return
+    # unbuffered stdio (python -u, PYTHONUNBUFFERED): the text layer passes
+    # the report to the file in one write and drops what a short write leaves
+    data = memoryview(report.encode(out.encoding, out.errors))
+    while data:
+        written = raw.write(data)
+        if not written:
+            raise OSError(errno.EAGAIN, "stdout took no bytes")
+        data = data[written:]
 
 
 def _fmt_ms(seconds: float) -> str:

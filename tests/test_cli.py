@@ -685,6 +685,24 @@ def test_closed_pipe_ends_in_one_error_line():
     _assert_unwritable(proc, "[Errno 32] Broken pipe")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_pipe_closed_mid_report_ends_in_one_error_line(unbuffered):
+    # the report (about 300 KB) outgrows the pipe, so the reader closes it
+    # while the write is blocked; unbuffered stdio then sees a short write
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quotdeg", "chains", "--n", "6", "--alpha", "5,9,10", "--cap", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert proc.stdout.read(1) == "{"
+    proc.stdout.close()
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    proc.wait(timeout=60)
+    done = subprocess.CompletedProcess(proc.args, proc.returncode, None, stderr)
+    _assert_unwritable(done, "[Errno 32] Broken pipe")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_full_device_ends_in_one_error_line(fmt):
