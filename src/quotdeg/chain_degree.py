@@ -50,6 +50,26 @@ _MAX_LISTED_STEPS = 2 * 10**6
 MemoTable = dict[int, int]
 
 
+def _cell(entries: tuple[int, ...], n: int) -> int:
+    # a tuple's cell, the memo key: its first entry above n offset bits
+    first = entries[0]
+    return (first << n) + sum(1 << (a - first) for a in entries)
+
+
+def _check_walk(alpha: CompositeIndex) -> None:
+    """Refuse with ValueError, before any cell is visited, a lower set too
+    large to walk (indices.check_lower_set) or a walk deeper than
+    _MAX_DEPTH steps."""
+    _require_window(alpha)
+    check_lower_set(alpha.entries, alpha.n)
+    depth = dimension(alpha)
+    if depth > _MAX_DEPTH:
+        raise ValueError(
+            f"chain walk too deep: {depth} steps down from {alpha.entries} mod {alpha.n} "
+            f"exceed the limit {_MAX_DEPTH}"
+        )
+
+
 def _lower_cells(cell: int, n: int) -> list[int]:
     # the lower covers of a cell, in lower_covers order: the first entry
     # while it stays >= 1 and the span under n (every offset moves up one),
@@ -75,23 +95,14 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     different periods, so a memo holds one period.  Every cell the walk
     reaches without a memo entry gets its cover list from _lower_cells
     once, the bottom's empty list included, and is summed over it; a cell
-    already in the memo is a leaf.  A lower set too large to walk
-    (indices.check_lower_set) or a walk deeper than _MAX_DEPTH steps is
-    refused up front with ValueError.
+    already in the memo is a leaf.  A walk that _check_walk refuses raises
+    its ValueError before any cell is visited.
     """
-    _require_window(alpha)
-    check_lower_set(alpha.entries, alpha.n)
-    depth = dimension(alpha)
-    if depth > _MAX_DEPTH:
-        raise ValueError(
-            f"chain walk too deep: {depth} steps down from {alpha.entries} mod {alpha.n} "
-            f"exceed the limit {_MAX_DEPTH}"
-        )
+    _check_walk(alpha)
     if memo is None:
         memo = {}
     n = alpha.n
-    first = alpha.entries[0]
-    top = (first << n) + sum(1 << (a - first) for a in alpha.entries)
+    top = _cell(alpha.entries, n)
     if top in memo:
         return memo[top]
     bottom = (1 << n) + (1 << alpha.m) - 1

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .chain_degree import DEFAULT_CHAIN_CAP, degree_chain, enumerate_chains
+from .chain_degree import DEFAULT_CHAIN_CAP, _check_walk, degree_chain, enumerate_chains
 from .indices import (
     InvalidIndexError,
     SchubertSymbol,
@@ -38,6 +38,8 @@ from .vafa import (
     CorrelatorSpec,
     DimensionMismatchError,
     ToleranceError,
+    _check_work,
+    _degree_weight,
     check_precision,
     check_tolerance,
     vi_correlator,
@@ -169,6 +171,12 @@ def cmd_degree(args) -> tuple[int, tuple | None]:
     m, p, n, symbol, alpha, q_echo = _degree_request(args)
 
     wanted = ["chain", "recurrence", "vi"] if args.method == "all" else [args.method]
+    # every wanted method's up-front checks, in method order, before any
+    # method starts work; the chain's lower-set check is the recurrence's
+    if "chain" in wanted:
+        _check_walk(alpha)
+    if "vi" in wanted:
+        _check_work(m, n, _degree_weight(m))
     methods: dict[str, dict] = {}
     for name in wanted:
         entry = methods[name] = {"degree": None, "status": "ok"}

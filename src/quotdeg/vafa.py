@@ -504,13 +504,15 @@ _MAX_WORK = 2 * 10**6
 _ENTRY_WEIGHT = 64
 
 
-def _checked_roots(m: int, n: int, weight: int, precision: int, tolerance: float) -> LGRootSystem:
-    """Check the precision, the tolerance and the work, then return
-    lg_roots(m, n, precision).  The work, ceil(C(n, m) / n) orbits times
-    `weight` per term plus 2n table entries times _ENTRY_WEIGHT, is known
-    before any root is computed."""
-    precision = check_precision(precision)
-    check_tolerance(tolerance)
+def _degree_weight(m: int) -> int:
+    """The weight of a degree term: _det takes 2^m m products."""
+    return 2**m * m
+
+
+def _check_work(m: int, n: int, weight: int) -> None:
+    """Refuse with ValueError a sum whose work, ceil(C(n, m) / n) orbits
+    times `weight` per term plus 2n table entries times _ENTRY_WEIGHT,
+    exceeds _MAX_WORK: known from m and n before any root is computed."""
     orbits = -(-math.comb(n, m) // n)
     table = 2 * n * _ENTRY_WEIGHT
     if orbits * weight + table > _MAX_WORK:
@@ -519,6 +521,14 @@ def _checked_roots(m: int, n: int, weight: int, precision: int, tolerance: float
             f"({orbits} rotation orbits times {weight} per term) and {table} for the root "
             f"table ({2 * n} entries times {_ENTRY_WEIGHT}) exceed the limit {_MAX_WORK}"
         )
+
+
+def _checked_roots(m: int, n: int, weight: int, precision: int, tolerance: float) -> LGRootSystem:
+    """Check the precision, the tolerance and the work, then return
+    lg_roots(m, n, precision)."""
+    precision = check_precision(precision)
+    check_tolerance(tolerance)
+    _check_work(m, n, weight)
     return lg_roots(m, n, precision)
 
 
@@ -577,7 +587,7 @@ def vi_degree(
         raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
     exponent = symbol_dimension(symbol, n)
     lams = [n + 1 - c for c in symbol.columns]
-    sys = _checked_roots(m, n, 2**m * m, precision, tolerance)  # _det takes 2^m m products
+    sys = _checked_roots(m, n, _degree_weight(m), precision, tolerance)
     return _finalize(*_degree_sum(lams, exponent, sys), m, n, sys.precision, tolerance)
 
 

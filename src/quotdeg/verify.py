@@ -14,7 +14,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .chain_degree import MemoTable, degree_bruteforce, degree_chain
+from .chain_degree import MemoTable, _cell, degree_bruteforce, degree_chain
 from .indices import (
     CompositeIndex,
     SchubertSymbol,
@@ -326,9 +326,8 @@ def run_verify(
         )
     memos: dict[int, MemoTable] = {}  # one chain memo per period, shared by three suites
     if inject_fault:
-        # the smallest nontrivial index, (2,) mod 2 as its chain-walk cell
-        # 2 * 2^2 + 2^0: its true chain count is 1
-        memos[2] = {(2 << 2) + 1: 2}
+        # the smallest nontrivial index, (2,) mod 2, whose true chain count is 1
+        memos[2] = {_cell((2,), 2): 2}
     return VerifyReport([
         base_case_suite(min(max_n - 1, 4), precision, tolerance),
         roundtrip_suite(max_n, max_dim),

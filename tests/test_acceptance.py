@@ -29,6 +29,7 @@ from quotdeg.vafa import (
 from quotdeg.verify import valid_symbols, windowed_indices
 
 from oracles import rectangle_syt_count, top_degree
+from shared import partitions
 
 
 def _report(cid, claim, ok, detail):
@@ -193,20 +194,6 @@ def test_c07_rank_one_degrees_pin_the_sign():
     )
 
 
-def _partitions(weight, max_parts, max_size):
-    if max_parts == 0:
-        if weight == 0:
-            yield ()
-        return
-    for first in range(min(weight, max_size), -1, -1):
-        if first == 0:
-            if weight == 0:
-                yield (0,) * max_parts
-            return
-        for rest in _partitions(weight - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
 def test_c08_power_sum_determinant_selects_the_rectangle():
     start = time.perf_counter()
     failures = []
@@ -214,7 +201,7 @@ def test_c08_power_sum_determinant_selects_the_rectangle():
     for m in range(1, 4):
         for p in range(1, 4):
             n = m + p
-            for mu in _partitions(m * p, m, m * p):
+            for mu in partitions(m * p, m, m * p):
                 cases += 1
                 expected = 1 if mu == (p,) * m else 0
                 if powersum_determinant(mu, m, n) != expected:

@@ -26,17 +26,7 @@ from quotdeg.indices import (
 from quotdeg.recurrence_degree import RecurrenceTable
 
 from oracles import rectangle_syt_count, top_degree, windowed_lower_set
-
-
-@st.composite
-def windowed_indices(draw, max_n=6, max_base=8):
-    n = draw(st.integers(2, max_n))
-    m = draw(st.integers(1, n - 1))
-    base = draw(st.integers(1, max_base))
-    gaps = draw(
-        st.lists(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1, unique=True)
-    )
-    return CompositeIndex((base,) + tuple(base + g for g in sorted(gaps)), n)
+from shared import cell_key, windowed_indices
 
 
 @pytest.mark.parametrize(
@@ -65,23 +55,18 @@ def test_degree_chain_bottom_is_one():
             assert degree_chain(bottom_index(m, m + p)) == 1
 
 
-def _cell(entries, n):
-    # the walk's key for a tuple: its first entry above n offset bits
-    return (entries[0] << n) + sum(1 << (a - entries[0]) for a in entries)
-
-
 def test_memo_reuse_is_consistent():
     memo = {}
     a = validate_index((4, 7), 4)
     assert degree_chain(a, memo) == 8
     # reusing the same table must give identical answers and hit the cache
-    assert memo[_cell((4, 7), 4)] == 8
+    assert memo[cell_key((4, 7), 4)] == 8
     assert degree_chain(a, memo) == 8
     assert degree_chain(validate_index((4, 6), 4), memo) == 8
     # a table holds one period: the same cell names other tuples under
     # other periods, (2,) mod 2 and (1,) mod 3 for one, so period 5 gets
     # its own table and period 4's still answers
-    assert _cell((2,), 2) == _cell((1,), 3)
+    assert cell_key((2,), 2) == cell_key((1,), 3)
     assert degree_chain(validate_index((4, 5), 5), {}) == 5
     assert degree_chain(a, memo) == 8
 
@@ -98,7 +83,7 @@ def test_fresh_memo_holds_exactly_the_lower_set():
                 memo = {}
                 degree_chain(alpha, memo)
                 lower = windowed_lower_set(alpha.entries, alpha.n)
-                assert set(memo) == {_cell(t, alpha.n) for t in lower}
+                assert set(memo) == {cell_key(t, alpha.n) for t in lower}
     for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147)):
         memo = {}
         degree_chain(_top_index(m, p, q), memo)
@@ -121,7 +106,7 @@ def test_each_visited_cell_generates_its_covers_once(monkeypatch):
         alpha = _top_index(m, p, q)
         degree_chain(alpha, memo)
         # one cover list per memo entry, the bottom's included
-        assert _cell(tuple(range(1, m + 1)), alpha.n) in calls
+        assert cell_key(tuple(range(1, m + 1)), alpha.n) in calls
         assert sorted(calls) == sorted(memo)
         assert len(calls) == size
         # a memo hit, on the top or on any cell below it, generates none
@@ -133,11 +118,11 @@ def test_each_visited_cell_generates_its_covers_once(monkeypatch):
 
 
 def test_seeded_memo_entry_is_a_leaf():
-    memo = {_cell((2,), 2): 2}
+    memo = {cell_key((2,), 2): 2}
     assert degree_chain(CompositeIndex((5,), 2), memo) == 2
-    assert memo[_cell((2,), 2)] == 2
+    assert memo[cell_key((2,), 2)] == 2
     # the walk stops at the seeded entry and never reaches the bottom
-    assert _cell((1,), 2) not in memo
+    assert cell_key((1,), 2) not in memo
 
 
 def test_deep_index_needs_no_recursion():
@@ -175,15 +160,15 @@ def test_lower_cells_match_lower_covers():
         for m in range(1, n):
             for entries in windowed_indices(n, m, 20):
                 alpha = CompositeIndex(entries, n)
-                want = [_cell(b.entries, n) for b in lower_covers(alpha)]
-                assert quotdeg.chain_degree._lower_cells(_cell(entries, n), n) == want, alpha
+                want = [cell_key(b.entries, n) for b in lower_covers(alpha)]
+                assert quotdeg.chain_degree._lower_cells(cell_key(entries, n), n) == want, alpha
                 edges["lowest entry 1"] += entries[0] == 1
                 edges["span n - 1"] += alpha.span == n - 1
     assert all(edges.values()), edges
 
 
 @settings(max_examples=100, deadline=None)
-@given(windowed_indices())
+@given(windowed_indices(max_base=8))
 def test_pieri_sum_over_lower_covers(alpha):
     if alpha.entries == tuple(range(1, alpha.m + 1)):
         return

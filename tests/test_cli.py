@@ -216,16 +216,24 @@ def test_low_precision_is_refused_before_any_method_runs(capsys, monkeypatch):
     [
         ("degree", "--m", "30", "--p", "30", "--q", "0", "--method", "vi"),
         ("correlator", "--m", "30", "--p", "30", "--powers", ",".join(["900"] + ["0"] * 29)),
+        # the walk and the box would pass their own checks: under --method
+        # all the fixed-point estimate refuses before either starts
+        ("degree", "--m", "10", "--p", "9", "--q", "1"),
     ],
-    ids=["degree", "correlator"],
+    ids=["degree", "correlator", "degree-all-methods"],
 )
-def test_oversized_fixed_point_sum_exits_one_at_once(capsys, argv):
+def test_oversized_fixed_point_sum_exits_one_at_once(capsys, monkeypatch, argv):
     # about 2 * 10^15 orbit terms: refused from m and n alone, before any root
+    import quotdeg.chain_degree as chain_degree
+
+    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.startswith("quotdeg: error: fixed-point sum too large: an estimated ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -722,66 +730,68 @@ def test_closed_stdout_ends_in_one_error_line():
     _assert_unwritable(proc, "[Errno 9] stdout is closed")
 
 
-FLOAT_STACK_PROBE = """
+IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from quotdeg.cli import main
 
-def loaded(argv):
+loaded = []
+for argv in sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv.split()) == 0, argv
-    return sorted(
-        name for name in sys.modules
+    loaded.append(sorted(sys.modules))
+print(json.dumps(loaded))
+"""
+
+INTEGER_REQUESTS = (
+    "degree --m 3 --p 3 --q 4 --method chain",
+    "degree --m 3 --p 3 --q 4 --method recurrence",
+    "table --m 2 --p 2 --max-q 3",
+    "chains --n 4 --alpha 4,7",
+)
+
+
+def _modules_after(*requests, flags=()):
+    """sys.modules of a fresh interpreter, sorted, after each request in
+    turn; this one has imported mpmath already."""
+    src = str(Path(quotdeg.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", IMPORT_PROBE, src, *requests],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _float_stack(modules):
+    return [
+        name for name in modules
         if name == "fractions" or name.partition(".")[0] == "mpmath"
         or name.split(".")[:2] == ["quotdeg", "_libmp"]
-    )
-
-print(json.dumps([
-    loaded("degree --m 3 --p 3 --q 4 --method chain"),
-    loaded("degree --m 3 --p 3 --q 4 --method recurrence"),
-    loaded("table --m 2 --p 2 --max-q 3"),
-    loaded("chains --n 4 --alpha 4,7"),
-    loaded("degree --m 3 --p 3 --q 4 --method vi --precision 80"),
-]))
-"""
+    ]
 
 
 def test_integer_commands_never_load_the_float_stack():
-    # a fresh interpreter: this one has imported mpmath already
-    src = str(Path(quotdeg.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", FLOAT_STACK_PROBE, src], capture_output=True, text=True
+    *integer, vi = _modules_after(
+        *INTEGER_REQUESTS, "degree --m 3 --p 3 --q 4 --method vi --precision 80"
     )
-    assert proc.returncode == 0, proc.stderr
-    *integer, vi = json.loads(proc.stdout)
-    assert integer == [[], [], [], []]
+    assert [_float_stack(modules) for modules in integer] == [[], [], [], []]
     # the sum runs on five of mpmath's kernel modules, loaded without
     # mpmath/__init__ or libmp's own __init__, so neither the special
     # functions (gammazeta, libhyper) nor the intervals (libmpi) load
     kernel = ["backend", "libelefun", "libintmath", "libmpc", "libmpf"]
-    assert vi == ["quotdeg._libmp", *(f"quotdeg._libmp.{name}" for name in kernel)]
-
-
-LEAN_IMPORT_PROBE = """
-import contextlib, io, json, sys
-sys.path.insert(0, sys.argv[1])
-from quotdeg.cli import main
-
-for argv in ("degree --m 3 --p 3 --q 4 --method chain",
-             "degree --m 3 --p 3 --q 4 --method recurrence",
-             "table --m 2 --p 2 --max-q 3",
-             "chains --n 4 --alpha 4,7"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv.split()) == 0, argv
-print(json.dumps(sorted({"csv", "dataclasses", "inspect", "typing"} & set(sys.modules))))
-"""
+    want = ["quotdeg._libmp", *(f"quotdeg._libmp.{name}" for name in kernel)]
+    assert _float_stack(vi) == want
+    # and so do a whole degree request and a correlator, each on its own
+    for request in (
+        "degree --m 5 --p 5 --q 2 --precision 104",
+        "correlator --m 4 --p 4 --powers 6,1,0,4 --precision 53",
+    ):
+        [modules] = _modules_after(request)
+        assert _float_stack(modules) == want, request
 
 
 def test_integer_commands_never_load_the_introspection_stack():
     # -S: no site hooks, so every module loaded is one the program asked for
-    src = str(Path(quotdeg.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", LEAN_IMPORT_PROBE, src], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    *_, modules = _modules_after(*INTEGER_REQUESTS, flags=("-S",))
+    assert sorted({"csv", "dataclasses", "inspect", "typing"} & set(modules)) == []

@@ -24,6 +24,7 @@ from quotdeg.indices import (
 )
 
 from oracles import merged_prefix, windowed_lower_set
+from shared import windowed_indices
 
 
 @st.composite
@@ -36,18 +37,6 @@ def wide_indices(draw, max_n=6, max_shift=3):
     )
     shifts = draw(st.lists(st.integers(0, max_shift), min_size=m, max_size=m))
     entries = tuple(sorted(r + n * k for r, k in zip(residues, shifts)))
-    return CompositeIndex(entries, n)
-
-
-@st.composite
-def windowed_indices(draw, max_n=6, max_base=9):
-    n = draw(st.integers(2, max_n))
-    m = draw(st.integers(1, n - 1))
-    base = draw(st.integers(1, max_base))
-    gaps = draw(
-        st.lists(st.integers(1, n - 1), min_size=m - 1, max_size=m - 1, unique=True)
-    )
-    entries = (base,) + tuple(base + g for g in sorted(gaps))
     return CompositeIndex(entries, n)
 
 
@@ -272,7 +261,7 @@ def test_lower_covers_examples():
 
 
 @settings(max_examples=120)
-@given(windowed_indices())
+@given(windowed_indices(max_base=9))
 def test_lower_covers_match_covers(alpha):
     covered = {c.entries for c in lower_covers(alpha)}
     # every listed cover passes covers(); dimension drops by exactly 1

@@ -13,6 +13,7 @@ from quotdeg.indices import (
 from quotdeg.recurrence_degree import RecurrenceTable, quot_degree
 
 from oracles import rectangle_syt_count, top_degree, windowed_lower_set
+from shared import cell_key
 
 
 @pytest.mark.parametrize(
@@ -186,10 +187,6 @@ def test_query_order_does_not_change_values():
             assert down == up == fresh, (m, n)
 
 
-def _cell(t, n):
-    return (t[0] << n) + sum(1 << (a - t[0]) for a in t)
-
-
 def _entries(cell, n):
     first = cell >> n
     return tuple(first + o for o in range(n) if cell >> o & 1)
@@ -208,7 +205,7 @@ def test_one_query_fills_exactly_its_box():
     for n in range(2, 7):
         for m in range(1, n):
             for entries in windowed_indices(n, m, 12)[1:]:  # past the bottom
-                box = {_cell(t, n) for t in windowed_lower_set(entries, n)}
+                box = {cell_key(t, n) for t in windowed_lower_set(entries, n)}
                 table = RecurrenceTable(m, n)
                 patterns = table._box(entries)
                 seen = set()
@@ -258,7 +255,7 @@ def test_level_fill_agrees_with_the_chain_count(case):
         assert value == degree_chain(CompositeIndex(top, n), memo), (top, n)
         # a fresh table fills exactly the box below the top (none at the
         # pinned bottom), and every value is the chain count of its tuple
-        box = {_cell(t, n) for t in windowed_lower_set(top, n)} if top != bottom else set()
+        box = {cell_key(t, n) for t in windowed_lower_set(top, n)} if top != bottom else set()
         assert set(table.values) == box, (top, n)
         for cell, v in table.values.items():
             assert v == degree_chain(CompositeIndex(_entries(cell, n), n), memo), (cell, n)

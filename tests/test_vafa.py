@@ -41,6 +41,7 @@ from quotdeg.verify import valid_symbols
 
 from fixed_point_sweep import sweep
 from oracles import leibniz_coefficients, leibniz_det, top_degree
+from shared import partitions
 
 
 def _recurrence_degree(columns, d, m, p):
@@ -199,20 +200,6 @@ def test_power_sum_rejects_negative_exponent():
             powersum_determinant((1,), 1, n)
 
 
-def _partitions(weight, max_parts, max_size):
-    if max_parts == 0:
-        if weight == 0:
-            yield ()
-        return
-    for first in range(min(weight, max_size), -1, -1):
-        if first == 0:
-            if weight == 0:
-                yield (0,) * max_parts
-            return
-        for rest in _partitions(weight - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
 def test_powersum_determinant_selects_the_rectangle():
     # weight m*p forces the full rectangle; everything else vanishes
     for m in (1, 2, 3):
@@ -220,7 +207,7 @@ def test_powersum_determinant_selects_the_rectangle():
             n = m + p
             rectangle = (p,) * m
             seen = 0
-            for mu in _partitions(m * p, m, m * p):
+            for mu in partitions(m * p, m, m * p):
                 expected = Fraction(1 if mu == rectangle else 0)
                 assert powersum_determinant(mu, m, n) == expected
                 seen += 1
@@ -444,6 +431,29 @@ def test_vi_degree_refuses_last_place_noise():
     with pytest.raises(ToleranceError, match="noise bound"):
         vi_degree((3, 4), 200, 2, 2, precision=404)
     assert vi_degree((3, 4), 200, 2, 2, precision=460).value == quot_degree(2, 2, 200)
+
+
+def test_certified_sum_off_an_integer_is_refused():
+    # an exact, error-free sum of 2.3 after scaling: the noise bound passes
+    # and the residual 0.3 does not
+    import quotdeg.vafa as vafa
+
+    lib = vafa._kernel()
+    subset_sum = (lib.from_float(-2.3 * 4**2), lib.fzero)
+    with pytest.raises(ToleranceError, match="is not within 1e-06 of an integer"):
+        vafa._finalize(subset_sum, lib.fzero, 2, 4, 53, 1e-6)
+
+
+def test_missing_mpmath_is_refused(monkeypatch):
+    # __wrapped__ runs the loader afresh and leaves the cached kernel alone
+    import importlib.util
+
+    import quotdeg.vafa as vafa
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError) as refusal:
+        vafa._kernel.__wrapped__()
+    assert refusal.value.name == "mpmath"
 
 
 @pytest.mark.parametrize(
