@@ -5,15 +5,16 @@ number of maximal chains in the componentwise order below alpha.  Every
 cover step decrements a single entry, so the count satisfies a sum over
 lower covers; degree_chain evaluates that sum in a single iterative
 post-order walk down from alpha (each visited tuple's covers are
-generated once, when the walk first reaches it, the stack holds only the
-current path, and there is no recursion depth limit).  The walk sees a
-tuple as one int, its cell: the first entry f above n bits that mark
-each entry's offset a - f.  Moving an entry at offset o >= 1 down to a
-free o - 1 is one subtraction, of 2^(o-1), and no tuple is built.  The
-memo is keyed by cell alone, and the same cell names different tuples
-under different periods: a memo holds one period.  enumerate_chains
-lists the chains themselves by a plain depth-first walk upward from the
-bottom, and degree_bruteforce counts every path of that upward walk,
+generated once, in the walk's own loop, when the walk first reaches it;
+the stack holds only the current path, and there is no recursion depth
+limit).  The walk sees a tuple as one int, its cell: the first entry f
+above n bits that mark each entry's offset a - f.  Moving an entry at
+offset o >= 1 down to a free o - 1 is one subtraction, of 2^(o-1), and
+no tuple is built.  The memo is keyed by cell alone, and the same cell
+names different tuples under different periods: a memo holds one period.
+enumerate_chains lists the chains themselves by a plain depth-first walk
+upward from the bottom, which builds each tuple's upward steps once per
+listing, and degree_bruteforce counts every path of that upward walk,
 sharing no code with degree_chain's walk.
 
 Note the bottom (1, ..., m) is automatically <= any valid index: strictly
@@ -70,22 +71,6 @@ def _check_walk(alpha: CompositeIndex) -> None:
         )
 
 
-def _lower_cells(cell: int, n: int) -> list[int]:
-    # the lower covers of a cell, in lower_covers order: the first entry
-    # while it stays >= 1 and the span under n (every offset moves up one),
-    # then each other entry with a free place below it
-    offsets = cell & ((1 << n) - 1)
-    out = []
-    if cell >> n > 1 and offsets < 1 << (n - 1):
-        out.append(cell - (1 << n) + offsets - 1)
-    movable = (offsets & ~(offsets << 1)) ^ 1
-    while movable:
-        bit = movable & -movable
-        out.append(cell - (bit >> 1))
-        movable ^= bit
-    return out
-
-
 def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     """Number of saturated chains from (1, ..., m) up to alpha.
 
@@ -93,10 +78,10 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     period n: keys are cells, entries[0] * 2^n + sum(2^(a - entries[0])
     for a in entries), and the same cell names different tuples under
     different periods, so a memo holds one period.  Every cell the walk
-    reaches without a memo entry gets its cover list from _lower_cells
-    once, the bottom's empty list included, and is summed over it; a cell
-    already in the memo is a leaf.  A walk that _check_walk refuses raises
-    its ValueError before any cell is visited.
+    reaches without a memo entry has its lower covers generated once and
+    is summed over them; a cell already in the memo is a leaf.  A walk
+    that _check_walk refuses raises its ValueError before any cell is
+    visited.
     """
     _check_walk(alpha)
     if memo is None:
@@ -105,25 +90,44 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     top = _cell(alpha.entries, n)
     if top in memo:
         return memo[top]
-    bottom = (1 << n) + (1 << alpha.m) - 1
+    mask = (1 << n) - 1  # a cell's offset bits
+    span = 1 << (n - 1)  # the offset bit of a span of n - 1
+    second = 2 << n  # the least cell with first entry 2
+    drop = (1 << n) + 1  # a first-entry move takes a cell c to c + offsets - drop
+    value = memo.__getitem__
 
-    # one post-order walk: a frame is summed once every cover has a memo
-    # entry; the stack holds only the current path down from alpha, and a
-    # frame resumes after the cover it last descended into.  The bottom has
-    # no covers, so its frame pops at once and is pinned to 1.
-    covers = _lower_cells(top, n)
-    stack = [(top, covers, iter(covers))]
-    while stack:
-        cur, covers, rest = stack[-1]
-        for cover in rest:
-            if cover not in memo:
-                below = _lower_cells(cover, n)
-                stack.append((cover, below, iter(below)))
-                break
-        else:
-            stack.pop()
-            memo[cur] = 1 if cur == bottom else sum(map(memo.__getitem__, covers))
-    return memo[top]
+    # one post-order walk: `cur` is summed once every cover has a memo
+    # entry.  Its lower covers, in lower_covers order, are the first entry
+    # while it stays >= 1 and the span under n (every offset moves up one),
+    # then each other entry with a free place below it, at offset o >= 1,
+    # moved down by 2^(o-1).  The stack holds the frames of the path down
+    # to `cur`, each to resume after the cover it descended into.  Only the
+    # bottom has no covers (any other tuple can lower its first entry or
+    # fill a gap), and it is pinned to 1.
+    stack = []
+    cur = top
+    while True:
+        offsets = cur & mask
+        covers = [cur + offsets - drop] if cur >= second and offsets < span else []
+        movable = (offsets & ~(offsets << 1)) ^ 1
+        while movable:
+            bit = movable & -movable
+            covers.append(cur - (bit >> 1))
+            movable ^= bit
+        rest = iter(covers)
+        while True:
+            for cover in rest:
+                if cover not in memo:
+                    break
+            else:
+                memo[cur] = sum(map(value, covers)) if covers else 1
+                if not stack:
+                    return memo[top]
+                cur, covers, rest = stack.pop()
+                continue
+            stack.append((cur, covers, rest))
+            cur = cover
+            break
 
 
 class ChainEnumeration(_OwnTypeEquality, namedtuple("ChainEnumeration", "chains total capped")):
@@ -154,23 +158,29 @@ def _upward_steps(
 
 
 def _iter_chain_tuples(target: tuple[int, ...], n: int):
-    # yields chains bottom -> target as tuples of entry tuples, in lex order
+    # yields chains bottom -> target as tuples of entry tuples, in lex order;
+    # each tuple's upward steps are built once per listing, however many
+    # paths reach it
     bottom = tuple(range(1, len(target) + 1))
     if bottom == target:
         yield (bottom,)
         return
-    stack: list[tuple[tuple[int, ...], Iterator[tuple[int, ...]]]] = [
-        (bottom, iter(_upward_steps(bottom, target, n)))
-    ]
+    steps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    path = [bottom]
+    stack: list[Iterator[tuple[int, ...]]] = [iter(_upward_steps(bottom, target, n))]
     while stack:
-        cur, it = stack[-1]
-        nxt = next(it, None)
+        nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
+            path.pop()
         elif nxt == target:
-            yield tuple(frame[0] for frame in stack) + (target,)
+            yield (*path, target)
         else:
-            stack.append((nxt, iter(_upward_steps(nxt, target, n))))
+            up = steps.get(nxt)
+            if up is None:
+                up = steps[nxt] = _upward_steps(nxt, target, n)
+            path.append(nxt)
+            stack.append(iter(up))
 
 
 def enumerate_chains(alpha: CompositeIndex, cap: int = DEFAULT_CHAIN_CAP) -> ChainEnumeration:

@@ -78,9 +78,9 @@ class RecurrenceTable:
         n, values = self.n, self.values
         if t[0] < 1 or t[-1] - t[0] >= n or any(b <= a for a, b in zip(t, t[1:])):
             return 0
+        check_lower_set(t, n)
         if t[-1] == self.m:  # increasing from 1 to m: the bottom, which fills nothing
             return 1
-        check_lower_set(t, n)
         key = (t[0] << n) + sum(1 << (a - t[0]) for a in t)
         if key in values:
             return values[key]

@@ -90,31 +90,21 @@ def test_fresh_memo_holds_exactly_the_lower_set():
         assert len(memo) == size
 
 
-def test_each_visited_cell_generates_its_covers_once(monkeypatch):
-    calls = []
-    real = quotdeg.chain_degree._lower_cells
-
-    def counting(cell, n):
-        calls.append(cell)
-        return real(cell, n)
-
-    monkeypatch.setattr(quotdeg.chain_degree, "_lower_cells", counting)
+def test_each_visited_cell_generates_its_covers_once():
     # (m, p, q) and the size of the lower set the walk visits
     for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147), ((1, 3, 2), 12), ((2, 2, 0), 6)):
-        calls.clear()
         memo = {}
         alpha = _top_index(m, p, q)
         degree_chain(alpha, memo)
-        # one cover list per memo entry, the bottom's included
-        assert cell_key(tuple(range(1, m + 1)), alpha.n) in calls
-        assert sorted(calls) == sorted(memo)
-        assert len(calls) == size
-        # a memo hit, on the top or on any cell below it, generates none
-        calls.clear()
+        # one memo entry per cell of the lower set, the bottom's included
+        assert cell_key(tuple(range(1, m + 1)), alpha.n) in memo
+        assert len(memo) == size
+        # a memo hit, on the top or on any cell below it, adds or changes nothing
+        before = dict(memo)
         degree_chain(alpha, memo)
         for below in lower_covers(alpha):
             degree_chain(below, memo)
-        assert calls == []
+        assert memo == before
 
 
 def test_seeded_memo_entry_is_a_leaf():
@@ -150,9 +140,11 @@ def test_walk_deeper_than_the_limit_is_refused_up_front(monkeypatch):
     assert memo == {}
 
 
-def test_lower_cells_match_lower_covers():
-    # the cell step against the tuple step, in the same order, on every
-    # windowed index with n <= 7 and dimension <= 20
+def test_walk_sums_exactly_the_lower_covers():
+    # the walk's cover step against the tuple step, on every windowed index
+    # with n <= 7 and dimension <= 20: with each of lower_covers(alpha)
+    # seeded in the memo under its own byte, the walk reads back each
+    # cover once, descends into nothing and adds only alpha's own cell
     from quotdeg.verify import windowed_indices
 
     edges = {"lowest entry 1": 0, "span n - 1": 0}
@@ -160,8 +152,14 @@ def test_lower_cells_match_lower_covers():
         for m in range(1, n):
             for entries in windowed_indices(n, m, 20):
                 alpha = CompositeIndex(entries, n)
-                want = [cell_key(b.entries, n) for b in lower_covers(alpha)]
-                assert quotdeg.chain_degree._lower_cells(cell_key(entries, n), n) == want, alpha
+                below = lower_covers(alpha)
+                if not below:
+                    assert entries == tuple(range(1, m + 1))
+                    continue
+                memo = {cell_key(b.entries, n): 1 << 8 * k for k, b in enumerate(below)}
+                seeded = dict(memo)
+                assert degree_chain(alpha, memo) == sum(seeded.values()), alpha
+                assert memo == {**seeded, cell_key(entries, n): sum(seeded.values())}, alpha
                 edges["lowest entry 1"] += entries[0] == 1
                 edges["span n - 1"] += alpha.span == n - 1
     assert all(edges.values()), edges

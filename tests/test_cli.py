@@ -226,7 +226,7 @@ def test_oversized_fixed_point_sum_exits_one_at_once(capsys, monkeypatch, argv):
     # about 2 * 10^15 orbit terms: refused from m and n alone, before any root
     import quotdeg.chain_degree as chain_degree
 
-    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(chain_degree, "_cell", lambda *a: pytest.fail("walk ran"))
     monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -250,7 +250,7 @@ def test_oversized_lower_set_exits_one_at_once(capsys, monkeypatch, argv):
     # top index alone, so neither the chain walk nor the box fill starts
     import quotdeg.chain_degree as chain_degree
 
-    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(chain_degree, "_cell", lambda *a: pytest.fail("walk ran"))
     monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -284,7 +284,7 @@ def test_table_fills_its_largest_box_first(capsys, monkeypatch):
     # (8, 8) is over the lower-set limit, though q = 0..74 are not
     import quotdeg.chain_degree as chain_degree
 
-    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(chain_degree, "_cell", lambda *a: pytest.fail("walk ran"))
     monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "table", "--m", "8", "--p", "8", "--max-q", "200")
@@ -298,7 +298,7 @@ def test_too_deep_chain_walk_exits_one_at_once(capsys, monkeypatch):
     # the walk would be 999,999 steps deep: refused from the index alone
     import quotdeg.chain_degree as chain_degree
 
-    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(chain_degree, "_cell", lambda *a: pytest.fail("walk ran"))
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys, "degree", "--n", "2", "--alpha", "1000000", "--method", "chain"
@@ -312,32 +312,37 @@ def test_too_deep_chain_walk_exits_one_at_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,method,message",
+    "n,alpha,method,message",
     [
-        ("100000000", "chain", "lower set too large: an estimated 40 tuples below (40,) mod "
-         "100000000, times 1562501 64-bit words per cell, exceed the limit 1000000"),
-        ("100000000", "recurrence", "lower set too large: an estimated 40 tuples below (40,) "
+        ("100000000", "40", "chain", "lower set too large: an estimated 40 tuples below (40,) "
          "mod 100000000, times 1562501 64-bit words per cell, exceed the limit 1000000"),
-        ("1000000000", "chain", "lower set too large: an estimated 40 tuples below (40,) mod "
-         "1000000000, times 15625001 64-bit words per cell, exceed the limit 1000000"),
-        ("100000000", "vi", "fixed-point sum too large: an estimated 2 units of work (1 rotation "
-         "orbits times 2 per term) and 12800000000 for the root table (200000000 entries "
-         "times 64) exceed the limit 2000000"),
+        ("100000000", "40", "recurrence", "lower set too large: an estimated 40 tuples below "
+         "(40,) mod 100000000, times 1562501 64-bit words per cell, exceed the limit 1000000"),
+        ("1000000000", "40", "chain", "lower set too large: an estimated 40 tuples below (40,) "
+         "mod 1000000000, times 15625001 64-bit words per cell, exceed the limit 1000000"),
+        ("100000000", "40", "vi", "fixed-point sum too large: an estimated 2 units of work (1 "
+         "rotation orbits times 2 per term) and 12800000000 for the root table (200000000 "
+         "entries times 64) exceed the limit 2000000"),
+        # the bottom is weighed like any other top, by both integer methods
+        *(("100000000", "1", method, "lower set too large: an estimated 1 tuples below (1,) "
+           "mod 100000000, times 1562501 64-bit words per cell, exceed the limit 1000000")
+          for method in ("chain", "recurrence", "all")),
     ],
-    ids=["chain-1e8", "recurrence-1e8", "chain-1e9", "vi-1e8"],
+    ids=["chain-1e8", "recurrence-1e8", "chain-1e9", "vi-1e8",
+         "bottom-chain-1e8", "bottom-recurrence-1e8", "bottom-all-1e8"],
 )
-def test_oversized_period_exits_one_at_once(capsys, monkeypatch, n, method, message):
+def test_oversized_period_exits_one_at_once(capsys, monkeypatch, n, alpha, method, message):
     # (40,) has 40 tuples below it, but each cell holds n bits, and the
     # fixed-point sum's root table has 2n entries: refused from n alone,
     # where these requests once ran for seconds and hundreds of megabytes
     import quotdeg.chain_degree as chain_degree
     import quotdeg.vafa as vafa
 
-    monkeypatch.setattr(chain_degree, "_lower_cells", lambda *a: pytest.fail("walk ran"))
+    monkeypatch.setattr(chain_degree, "_cell", lambda *a: pytest.fail("walk ran"))
     monkeypatch.setattr(RecurrenceTable, "_box", lambda *a: pytest.fail("box was filled"))
     monkeypatch.setattr(vafa, "lg_roots", lambda *a: pytest.fail("roots were built"))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "degree", "--n", n, "--alpha", "40", "--method", method)
+    code, out, err = run_cli(capsys, "degree", "--n", n, "--alpha", alpha, "--method", method)
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"quotdeg: error: {message}\n"

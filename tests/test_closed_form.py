@@ -1,15 +1,21 @@
 """The chain count, the recurrence and the fixed-point sum against the
 closed form of oracles.symbol_degree, which reads each degree off Aitken's
-determinant and knows nothing of any of the three methods."""
+determinant and knows nothing of any of the three methods; and the `degree`
+command, where the methods, their admission and the rendering meet."""
 
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quotdeg.chain_degree import degree_chain
-from quotdeg.indices import SchubertSymbol, schubert_to_composite
+from quotdeg.cli import main
+from quotdeg.indices import CompositeIndex, SchubertSymbol, composite_to_schubert
+from quotdeg.indices import schubert_to_composite
 from quotdeg.recurrence_degree import RecurrenceTable
 from quotdeg.vafa import ToleranceError, vi_degree
 
@@ -36,6 +42,56 @@ def test_chain_and_recurrence_equal_the_closed_form(symbol):
     chain = degree_chain(alpha)
     assert chain == RecurrenceTable(len(columns), n).degree(alpha.entries)
     assert chain == symbol_degree(columns, d, n)
+
+
+@st.composite
+def degree_requests(draw):
+    """A `degree` request and the (columns, d, n) whose closed form is its
+    degree, or None where the request names no windowed index.  Half are
+    symbols() draws; half are tiny walks, an --alpha of at most three
+    entries up to 6, at a period up to 12 or from 16,000 to 10^8, where
+    each method refuses at once or answers from a few cells.  No tuple
+    below such an alpha spans more than alpha_m - 1, so past that period
+    its degree no longer depends on n and is read off at n = alpha_m + 1.
+    Periods from 13 to 15,999 are left out: there the fixed-point sum of
+    an m = 2 walk is admitted and runs for seconds to minutes."""
+    if draw(st.booleans()):
+        columns, d, n = draw(symbols())
+        m = len(columns)
+        argv = ["--m", str(m), "--p", str(n - m), "--i", ",".join(map(str, columns)),
+                "--d", str(d)]
+        return argv, (columns, d, n)
+    entries = tuple(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))))
+    n = draw(st.one_of(st.integers(2, 12), st.integers(16_000, 10**8)))
+    argv = ["--n", str(n), "--alpha", ",".join(map(str, entries))]
+    if entries[-1] - entries[0] >= n or len(entries) >= n:
+        return argv, None
+    symbol = composite_to_schubert(CompositeIndex(entries, min(n, entries[-1] + 1)))
+    return argv, (symbol.columns, symbol.offset, min(n, entries[-1] + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_requests())
+@example((["--n", "100000000", "--alpha", "1"], ((1,), 0, 2)))
+@example((["--m", "4", "--p", "4", "--i", "1,3,5,7", "--d", "2"], ((1, 3, 5, 7), 2, 8)))
+def test_degree_command_prints_the_closed_form_or_refuses(drawn):
+    # every method prints the closed form, or the command refuses in one
+    # stderr line; exit 4 is a report too, naming the sum it refused
+    request, symbol = drawn
+    codes = {}
+    for method in ("chain", "recurrence", "vi", "all"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = codes[method] = main(["degree", *request, "--method", method])
+        out, err = out.getvalue(), err.getvalue()
+        if code in (0, 4):
+            degrees = [entry["degree"] for entry in json.loads(out)["methods"].values()]
+            assert (None in degrees) == (code == 4) and err == ""
+            assert set(degrees) - {None} <= {str(symbol_degree(*symbol))}, method
+        else:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), method
+            assert "Traceback" not in err
+    assert codes["chain"] == codes["recurrence"], codes
 
 
 def test_closed_form_values():
