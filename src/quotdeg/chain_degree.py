@@ -94,40 +94,40 @@ def degree_chain(alpha: CompositeIndex, memo: MemoTable | None = None) -> int:
     span = 1 << (n - 1)  # the offset bit of a span of n - 1
     second = 2 << n  # the least cell with first entry 2
     drop = (1 << n) + 1  # a first-entry move takes a cell c to c + offsets - drop
+    bottom = (1 << n) + (1 << alpha.m) - 1
     value = memo.__getitem__
 
     # one post-order walk: `cur` is summed once every cover has a memo
-    # entry.  Its lower covers, in lower_covers order, are the first entry
-    # while it stays >= 1 and the span under n (every offset moves up one),
-    # then each other entry with a free place below it, at offset o >= 1,
-    # moved down by 2^(o-1).  The stack holds the frames of the path down
-    # to `cur`, each to resume after the cover it descended into.  Only the
-    # bottom has no covers (any other tuple can lower its first entry or
-    # fill a gap), and it is pinned to 1.
+    # entry.  On reaching a cell (covers None) the walk lists its lower
+    # covers, in lower_covers order: the first entry while it stays >= 1
+    # and the span under n (every offset moves up one), then each other
+    # entry with a free place below it, at offset o >= 1, moved down by
+    # 2^(o-1).  The stack holds the frames of the path down to `cur`, each
+    # to resume after the cover it descended into.  A cell with no covers
+    # is the bottom, pinned to 1, or, when m = n and nothing can move, a
+    # tuple no chain reaches, which counts 0.
     stack = []
-    cur = top
+    cur, covers = top, None
     while True:
-        offsets = cur & mask
-        covers = [cur + offsets - drop] if cur >= second and offsets < span else []
-        movable = (offsets & ~(offsets << 1)) ^ 1
-        while movable:
-            bit = movable & -movable
-            covers.append(cur - (bit >> 1))
-            movable ^= bit
-        rest = iter(covers)
-        while True:
-            for cover in rest:
-                if cover not in memo:
-                    break
-            else:
-                memo[cur] = sum(map(value, covers)) if covers else 1
-                if not stack:
-                    return memo[top]
-                cur, covers, rest = stack.pop()
-                continue
-            stack.append((cur, covers, rest))
-            cur = cover
-            break
+        if covers is None:
+            offsets = cur & mask
+            covers = [cur + offsets - drop] if cur >= second and offsets < span else []
+            movable = (offsets & ~(offsets << 1)) ^ 1
+            while movable:
+                bit = movable & -movable
+                covers.append(cur - (bit >> 1))
+                movable ^= bit
+            rest = iter(covers)
+        for cover in rest:
+            if cover not in memo:
+                stack.append((cur, covers, rest))
+                cur, covers = cover, None
+                break
+        else:
+            memo[cur] = sum(map(value, covers)) if covers else int(cur == bottom)
+            if not stack:
+                return memo[top]
+            cur, covers, rest = stack.pop()
 
 
 class ChainEnumeration(_OwnTypeEquality, namedtuple("ChainEnumeration", "chains total capped")):

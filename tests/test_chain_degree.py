@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import quotdeg.chain_degree
 from quotdeg.chain_degree import (
     DEFAULT_BRUTEFORCE_BOUND,
+    ChainEnumeration,
     degree_bruteforce,
     degree_chain,
     enumerate_chains,
@@ -84,27 +85,50 @@ def test_fresh_memo_holds_exactly_the_lower_set():
                 degree_chain(alpha, memo)
                 lower = windowed_lower_set(alpha.entries, alpha.n)
                 assert set(memo) == {cell_key(t, alpha.n) for t in lower}
-    for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147)):
+    for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147), ((1, 3, 2), 12), ((2, 2, 0), 6)):
         memo = {}
         degree_chain(_top_index(m, p, q), memo)
         assert len(memo) == size
 
 
+class _RecordedMemo(dict):
+    # a memo that records the cell of every store
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, cell, count):
+        self.stores.append(cell)
+        super().__setitem__(cell, count)
+
+
 def test_each_visited_cell_generates_its_covers_once():
-    # (m, p, q) and the size of the lower set the walk visits
-    for (m, p, q), size in (((3, 3, 4), 100), ((2, 5, 6), 147), ((1, 3, 2), 12), ((2, 2, 0), 6)):
-        memo = {}
+    # the walk lists a cell's covers on reaching it without a memo entry
+    # and stores its count once they all have one, so one store per cell
+    # means one cover list per cell
+    for m, p, q in ((3, 3, 4), (2, 5, 6), (1, 3, 2), (2, 2, 0)):
+        memo = _RecordedMemo()
         alpha = _top_index(m, p, q)
         degree_chain(alpha, memo)
-        # one memo entry per cell of the lower set, the bottom's included
-        assert cell_key(tuple(range(1, m + 1)), alpha.n) in memo
-        assert len(memo) == size
-        # a memo hit, on the top or on any cell below it, adds or changes nothing
+        assert cell_key(tuple(range(1, m + 1)), alpha.n) in memo.stores
+        assert sorted(memo.stores) == sorted(memo)
+        # a memo hit, on the top or on any cell below it, lists and stores nothing
+        memo.stores.clear()
         before = dict(memo)
         degree_chain(alpha, memo)
         for below in lower_covers(alpha):
             degree_chain(below, memo)
-        assert memo == before
+        assert memo.stores == [] and memo == before
+
+
+def test_tuple_no_chain_reaches_counts_zero():
+    # at m = n every tuple spans n - 1 with no gap, so no entry of (2, 3)
+    # mod 2 can move down; with no lower cover and not the bottom, it
+    # counts no chain
+    alpha = validate_index((2, 3), 2)
+    assert lower_covers(alpha) == []
+    assert degree_chain(alpha) == degree_bruteforce(alpha) == 0
+    assert enumerate_chains(alpha) == ChainEnumeration((), 0, False)
 
 
 def test_seeded_memo_entry_is_a_leaf():
