@@ -176,7 +176,7 @@ def cmd_degree(args) -> tuple[int, tuple | None]:
     if "chain" in wanted:
         _check_walk(alpha)
     if "vi" in wanted:
-        _check_work(m, n, _degree_weight(m))
+        _check_work(m, n, _degree_weight(m, n))
     methods: dict[str, dict] = {}
     for name in wanted:
         entry = methods[name] = {"degree": None, "status": "ok"}

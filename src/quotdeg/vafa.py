@@ -13,10 +13,10 @@ A root system is one table of zeta^0..zeta^(2n-1), zeta = e^(i pi/n); the
 roots are every other entry.  Fixed by n and the precision alone, the table
 and its measured errors are cached per (n, precision), and each sum takes
 its roots from lg_roots.  The degree sum indexes each subset by its roots'
-exponents, so the Schur determinant is built from integers: each entry
-zeta^s becomes 2^(width s), one Laplace expansion over column subsets gives
-an integer whose signed base-2^width digits are the determinant's
-coefficients on the powers of zeta, read off by a single dot product.
+exponents, so the Schur determinant is built in Z[x]/(x^n + 1), x = 2^width
+(x^n = -1 like zeta^n): each entry zeta^s becomes x^s, one Laplace expansion
+gives an integer, and its n base-x digits modulo x^n + 1 are the
+coefficients on zeta^0..zeta^(n-1), met with the table in one dot product.
 
 Both sums run through one loop, _orbit_sum.  Rotating the roots by
 zeta^2 = e^(2 pi i/n) permutes the subsets and fixes every term, since
@@ -199,23 +199,20 @@ def _det(rows):
 def _det_coefficients(exponents, lams, n: int) -> list[int]:
     """Integers c_0..c_(n-1) with det[zeta^(e_i * lam_j)] = sum_r c_r zeta^r.
 
-    Kronecker substitution: the entry zeta^s, s = e_i lam_j mod 2n, becomes
-    the integer x^s with x = 2^width, so _det returns the polynomial
-    sum_s a_s x^s evaluated at x.  Each a_s is a sum of at most m! Leibniz
-    terms of +-1, so |a_s| <= m! < 2^(width - 1), and the signed base-x
-    digits of the determinant are exactly the a_s.  Folding s mod 2n and
-    then zeta^(r+n) = -zeta^r onto zeta^r gives the c_r.
+    Computed in Z[x]/(x^n + 1), where x^n = -1 as zeta^n = -1: the entry
+    zeta^(e_i lam_j) becomes x^(e_i lam_j mod 2n) with x = 2^width, and
+    _det's integer is read modulo x^n + 1.  Each Leibniz term adds +-1 to
+    one c_r, so sum |c_r| <= m! < 2^(width - 1); adding half = 2^(width - 1)
+    to every digit then leaves each in [0, 2^width), and the residue's n
+    base-x digits are the c_r + half.
     """
-    two_n = 2 * n
     width = math.factorial(len(lams)).bit_length() + 1
-    value = _det([[1 << width * (e * lam % two_n) for lam in lams] for e in exponents])
-    half = 1 << width - 1
-    coeffs = [0] * two_n
-    for s in range(len(lams) * (two_n - 1) + 1):
-        # a_s + half is in [0, 2^width), so it is the remainder
-        value, digit = divmod(value + half, 2 * half)
-        coeffs[s % two_n] += digit - half
-    return [coeffs[r] - coeffs[r + n] for r in range(n)]
+    value = _det([[1 << width * (e * lam % (2 * n)) for lam in lams] for e in exponents])
+    half, mask = 1 << width - 1, (1 << width) - 1
+    ring = (1 << width * n) + 1
+    # half (x^n - 1) / (x - 1) is half in each of the n digits
+    value = (value + (ring - 2) // mask * half) % ring
+    return [(value >> width * r & mask) - half for r in range(n)]
 
 
 def _parts(mu, m: int) -> tuple[int, ...]:
@@ -488,25 +485,26 @@ def _orbit_sum(m: int, sys: LGRootSystem, power: int, summand):
 
 
 # The largest fixed-point sum admitted, in orbits times the weight of a term.
-# A degree's term weighs 2^m m (its determinant), a correlator's 8 m^2, so
-# that a unit costs about the same in both: at 80 bits on a 2-vCPU Xeon VM
-# (Python 3.11), 0.6-0.9 us for degrees (m = p = 8: 1.65 million units,
-# 1.0 s; m = 12, p = 3: 1.52 million, 1.3 s) and 0.9 us for correlators
-# (m = p = 9: 1.75 million, 1.6 s).  The limit admits about 2 s of work.
+# A degree's term weighs 2^m m + n/2 (its determinant and n coefficients), a
+# correlator's 8 m^2, so that a unit costs about the same in both: at 80 bits
+# on a 2-vCPU Xeon VM (Python 3.11), 0.6-0.9 us for degrees (m = p = 8: 1.66
+# million units, 1.0 s; m = 12, p = 3: 1.52 million, 1.3 s; m = 2, n = 1,000
+# to 2,600: 0.61-0.67 us) and 0.9 us for correlators (m = p = 9: 1.75
+# million, 1.6 s).  The limit admits about 2 s of work.
 _MAX_WORK = 2 * 10**6
 
 # The weight of one entry of the 2n-entry zeta table, which every sum pays
 # for twice: at the working precision (lg_roots) and at twice that plus 20
 # bits to measure its errors (_root_errors).  Together they take 40-80 us
 # an entry at 53-80 bits on that VM, about 64 units.  At m = 1 the table is
-# the whole cost, so n up to 15,624 is admitted (about 2 s), and n = 10^8,
-# whose table ran past 30 s and 600 MB, is not.
+# nearly the whole cost, so n up to 15,564 is admitted (about 2 s), and
+# n = 10^8, whose table ran past 30 s and 600 MB, is not.
 _ENTRY_WEIGHT = 64
 
 
-def _degree_weight(m: int) -> int:
-    """The weight of a degree term: _det takes 2^m m products."""
-    return 2**m * m
+def _degree_weight(m: int, n: int) -> int:
+    """A degree term's weight: _det's 2^m m products and its n coefficients."""
+    return 2**m * m + n // 2
 
 
 def _check_work(m: int, n: int, weight: int) -> None:
@@ -542,11 +540,11 @@ def _degree_sum(lams, exponent: int, sys: LGRootSystem):
 
     def summand(head, exponents, qs, ds):
         coeffs = _det_coefficients(exponents, lams, sys.n)
-        # the dot product sum_r c_r zeta^r as mp.fdot takes it: exact
-        # products, one rounding per part
+        # sum_r c_r zeta^r as mp.fdot takes it, exact products and one rounding
+        # per part, and its error, over the c_r != 0 (mpf_sum skips the others)
+        terms = [(c, sys.powers[r], errs[r]) for r, c in enumerate(coeffs) if c]
         det = tuple(
-            lib.mpf_sum([lib.mpf_mul(lib.from_int(c), z[part]) for c, z in zip(coeffs, sys.powers)],
-                        prec, rnd)
+            lib.mpf_sum([lib.mpf_mul(lib.from_int(c), z[part]) for c, z, _ in terms], prec, rnd)
             for part in (0, 1)
         )
         s, s_err = qs[0], ds[0]
@@ -555,7 +553,7 @@ def _degree_sum(lams, exponent: int, sys: LGRootSystem):
             # rounding moves the partial sum by 2^-precision of its exact modulus,
             # at most 0.54 u of the computed one
             s_err += d + abs(lib.mpc_to_complex(s, rnd=rnd)) * 0.54
-        factors = [(det, sum(abs(c) * d for c, d in zip(coeffs, errs)), 1), (s, s_err, exponent)]
+        factors = [(det, sum(abs(c) * d for c, _, d in terms), 1), (s, s_err, exponent)]
         term = lib.mpc_mul(
             lib.mpc_mul(head, det, prec, rnd), lib.mpc_pow_int(s, exponent, prec, rnd), prec, rnd
         )
@@ -587,7 +585,7 @@ def vi_degree(
         raise InvalidIndexError(f"columns {symbol.columns} name nothing for m={m} p={p}")
     exponent = symbol_dimension(symbol, n)
     lams = [n + 1 - c for c in symbol.columns]
-    sys = _checked_roots(m, n, _degree_weight(m), precision, tolerance)
+    sys = _checked_roots(m, n, _degree_weight(m, n), precision, tolerance)
     return _finalize(*_degree_sum(lams, exponent, sys), m, n, sys.precision, tolerance)
 
 

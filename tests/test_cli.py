@@ -320,9 +320,9 @@ def test_too_deep_chain_walk_exits_one_at_once(capsys, monkeypatch):
          "(40,) mod 100000000, times 1562501 64-bit words per cell, exceed the limit 1000000"),
         ("1000000000", "40", "chain", "lower set too large: an estimated 40 tuples below (40,) "
          "mod 1000000000, times 15625001 64-bit words per cell, exceed the limit 1000000"),
-        ("100000000", "40", "vi", "fixed-point sum too large: an estimated 2 units of work (1 "
-         "rotation orbits times 2 per term) and 12800000000 for the root table (200000000 "
-         "entries times 64) exceed the limit 2000000"),
+        ("100000000", "40", "vi", "fixed-point sum too large: an estimated 50000002 units of work "
+         "(1 rotation orbits times 50000002 per term) and 12800000000 for the root table "
+         "(200000000 entries times 64) exceed the limit 2000000"),
         # the bottom is weighed like any other top, by both integer methods
         *(("100000000", "1", method, "lower set too large: an estimated 1 tuples below (1,) "
            "mod 100000000, times 1562501 64-bit words per cell, exceed the limit 1000000")

@@ -60,7 +60,10 @@ def degree_requests(draw):
                 "--d", str(d)]
         return argv, (columns, d, n)
     entries = tuple(sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))))
-    n = draw(st.one_of(st.integers(2, 12), st.integers(13, 15_999), st.integers(16_000, 10**8)))
+    # no period from 100 to 15,999: there the fixed-point sum of a two- or
+    # three-entry walk is admitted and takes up to about 3 s, which would
+    # multiply this test's time; test_vafa's refusal tests pin its boundary
+    n = draw(st.one_of(st.integers(2, 12), st.integers(13, 99), st.integers(16_000, 10**8)))
     argv = ["--n", str(n), "--alpha", ",".join(map(str, entries))]
     if entries[-1] - entries[0] >= n or len(entries) >= n:
         return argv, None
@@ -74,14 +77,10 @@ def degree_requests(draw):
 @example((["--m", "4", "--p", "4", "--i", "1,3,5,7", "--d", "2"], ((1, 3, 5, 7), 2, 8)))
 def test_degree_command_prints_the_closed_form_or_refuses(drawn):
     # every method prints the closed form, or the command refuses in one
-    # stderr line; exit 4 is a report too, naming the sum it refused.  An
-    # --alpha walk at a period from 13 to 15,999 runs the integer methods
-    # only: there the fixed-point sum of an m = 2 walk is admitted and runs
-    # for seconds to minutes
+    # stderr line; exit 4 is a report too, naming the sum it refused
     request, symbol = drawn
-    slow_sum = request[0] == "--n" and 13 <= int(request[1]) < 16_000
     codes = {}
-    for method in ("chain", "recurrence") if slow_sum else ("chain", "recurrence", "vi", "all"):
+    for method in ("chain", "recurrence", "vi", "all"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = codes[method] = main(["degree", *request, "--method", method])
